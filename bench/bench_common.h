@@ -49,7 +49,13 @@ inline std::string Int(int64_t v) { return std::to_string(v); }
 inline std::string Uint(uint64_t v) { return std::to_string(v); }
 inline std::string Bool(bool v) { return v ? "true" : "false"; }
 inline std::string Str(std::string_view s) {
-  return "\"" + obs::JsonEscape(s) + "\"";
+  // Appended in place rather than through `"\"" + ...`: GCC 12 inlines
+  // that operator+ chain and raises a -Wrestrict false positive under
+  // -O3 (Release builds).
+  std::string out(1, '"');
+  out += obs::JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 /// One key -> pre-encoded-JSON-value row (order preserved on output).

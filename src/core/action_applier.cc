@@ -11,9 +11,13 @@ std::vector<AppliedAction> ActionApplier::Apply(
     Rng& rng, BestPrefixSelector& selector) const {
   const FlocConfig& config = *config_;
   size_t k = views.size();
-  ResidueEngine engine(config.norm);
-  GainContext ctx{&views, &scores, &tracker, config.target_residue,
-                  /*blocked=*/nullptr, memo_, config.audit};
+  GainScratch scratch(config.norm);
+  // Greedy mode drops every non-positive action below, so re-decisions
+  // whose gain bounds are all <= 0 settle without a scan.
+  bool drop_nonpositive = !config.perform_negative_actions &&
+                          config.annealing_temperature <= 0;
+  GainContext ctx{&views,  &scores, &tracker,       config.target_residue,
+                  nullptr, memo_,   config.audit, drop_nonpositive};
 
   std::vector<AppliedAction> applied;
   applied.reserve(actions.size());
@@ -36,7 +40,7 @@ std::vector<AppliedAction> ActionApplier::Apply(
     if (config.fresh_gains_at_apply) {
       // Re-decide this row/column's best action against the current
       // state: earlier actions in the sweep have already moved it.
-      action = BestActionFor(is_row, action.index, ctx, engine);
+      action = BestActionFor(is_row, action.index, ctx, scratch);
       if (action.blocked()) continue;
       if (action.gain <= 0 && !accept_negative(action.gain)) continue;
     } else {
@@ -62,7 +66,7 @@ std::vector<AppliedAction> ActionApplier::Apply(
     if (after_toggle_ != nullptr) after_toggle_(hook_self_, view);
     applied.push_back({action.target, action.index, action.cluster});
 
-    double new_score = ObjectiveScore(engine.Residue(view),
+    double new_score = ObjectiveScore(scratch.engine.Residue(view),
                                       view.stats().Volume(),
                                       config.target_residue);
     score_sum += new_score - scores[action.cluster];

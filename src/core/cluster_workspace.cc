@@ -1,8 +1,10 @@
 #include "src/core/cluster_workspace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
+#include "src/core/residue_kernels.h"
 #include "src/obs/metrics.h"
 
 namespace deltaclus {
@@ -43,6 +45,113 @@ bool DeadOverThreshold(size_t dead, size_t live) {
   return dead > live / 2 + 8;
 }
 
+// One member row's specified entries folded into its own line stats and
+// into the per-column stats. The row's running sums are split over four
+// lanes by column position, breaking the add-latency chain that would
+// otherwise bound the pass (bound stats need no particular summation
+// order). Unspecified entries are selected away, so whatever the pane
+// holds there never reaches a sum.
+template <bool kSquared>
+void AccumulateBoundRow(const double* values, const uint8_t* mask,
+                        const double* col_bases, size_t n, double row_base,
+                        double cluster_base, LineResidueStats& cols,
+                        LineResidueStats& rows, size_t pr, double& max_abs) {
+  double mass[4] = {0.0, 0.0, 0.0, 0.0};
+  double sum[4] = {0.0, 0.0, 0.0, 0.0};
+  double peak[4] = {max_abs, max_abs, max_abs, max_abs};
+  uint32_t pos = 0;
+  uint32_t neg = 0;
+  for (size_t idx = 0; idx < n; ++idx) {
+    bool specified = mask == nullptr || mask[idx] != 0;
+    double v = values[idx];
+    double r = EntryResidue(v, row_base, col_bases[idx], cluster_base);
+    size_t lane = idx & 3;
+    peak[lane] = std::max(peak[lane], specified ? std::fabs(v) : 0.0);
+    if (kSquared) {
+      double rr = specified ? r : 0.0;
+      double q = rr * rr;
+      mass[lane] += q;
+      sum[lane] += rr;
+      cols.mass[idx] += q;
+      cols.sum[idx] += rr;
+    } else {
+      double a = specified ? std::fabs(r) : 0.0;
+      uint32_t p = specified && r > 0.0 ? 1 : 0;
+      uint32_t m = specified && r < 0.0 ? 1 : 0;
+      mass[lane] += a;
+      pos += p;
+      neg += m;
+      cols.mass[idx] += a;
+      cols.pos[idx] += p;
+      cols.neg[idx] += m;
+    }
+  }
+  max_abs = std::max(std::max(peak[0], peak[1]), std::max(peak[2], peak[3]));
+  rows.mass[pr] = (mass[0] + mass[1]) + (mass[2] + mass[3]);
+  if (kSquared) {
+    rows.sum[pr] = (sum[0] + sum[1]) + (sum[2] + sum[3]);
+  } else {
+    rows.pos[pr] = pos;
+    rows.neg[pr] = neg;
+  }
+}
+
+// Sizes a line array for n lines and zeroes its residue accumulators.
+void ResetLines(LineResidueStats& lines, size_t n, bool squared) {
+  lines.base.resize(n);
+  lines.grow.resize(n);
+  lines.shrink.resize(n);
+  lines.count.resize(n);
+  lines.mass.assign(n, 0.0);
+  if (squared) {
+    lines.sum.assign(n, 0.0);
+    lines.pos.clear();
+    lines.neg.clear();
+  } else {
+    lines.sum.clear();
+    lines.pos.assign(n, 0);
+    lines.neg.assign(n, 0);
+  }
+}
+
+void SetLine(LineResidueStats& lines, size_t t, double base, size_t count) {
+  double n = static_cast<double>(count);
+  lines.base[t] = base;
+  lines.count[t] = static_cast<uint32_t>(count);
+  lines.grow[t] = 1.0 / (n + 1.0);
+  lines.shrink[t] = count > 1 ? 1.0 / (n - 1.0) : 0.0;
+}
+
+template <bool kSquared>
+void FillBoundStats(const ClusterView& view, const PackedPane& pane,
+                    ResidueBoundStats& out) {
+  const ClusterStats& stats = view.stats();
+  const auto& row_ids = view.cluster().row_ids();
+  const auto& col_ids = view.cluster().col_ids();
+  size_t n = col_ids.size();
+  ResetLines(out.cols, n, kSquared);
+  for (size_t idx = 0; idx < n; ++idx) {
+    SetLine(out.cols, idx, stats.ColBase(col_ids[idx]),
+            stats.ColCount(col_ids[idx]));
+  }
+  ResetLines(out.rows, row_ids.size(), kSquared);
+  for (size_t pr = 0; pr < row_ids.size(); ++pr) {
+    SetLine(out.rows, pr, stats.RowBase(row_ids[pr]),
+            stats.RowCount(row_ids[pr]));
+  }
+  const double* col_bases = out.cols.base.data();
+  double cluster_base = stats.ClusterBase();
+  double max_abs = 0.0;
+  for (size_t pr = 0; pr < row_ids.size(); ++pr) {
+    // Fully specified rows skip the mask reads.
+    const uint8_t* mask = out.rows.count[pr] == n ? nullptr : pane.MaskRow(pr);
+    AccumulateBoundRow<kSquared>(pane.Row(pr), mask, col_bases, n,
+                                 out.rows.base[pr], cluster_base, out.cols,
+                                 out.rows, pr, max_abs);
+  }
+  out.max_abs_value = max_abs;
+}
+
 size_t SortedIndexOf(const std::vector<uint32_t>& ids, size_t id) {
   return static_cast<size_t>(
       std::lower_bound(ids.begin(), ids.end(), static_cast<uint32_t>(id)) -
@@ -81,6 +190,17 @@ void ClusterWorkspace::RebuildPane() const {
   }
   pane_epoch_ = epoch_;
   PaneRebuildsCounter()->Inc();
+}
+
+void ClusterWorkspace::RebuildBoundStats(CachedNormTag norm) const {
+  const PackedPane& pane = EnsurePane();
+  if (norm == CachedNormTag::kMeanSquared) {
+    FillBoundStats<true>(view_, pane, bound_stats_);
+  } else {
+    FillBoundStats<false>(view_, pane, bound_stats_);
+  }
+  bound_norm_ = norm;
+  bound_epoch_ = epoch_;
 }
 
 void ClusterWorkspace::PatchPaneRow(size_t i, bool removed) {

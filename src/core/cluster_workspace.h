@@ -57,11 +57,21 @@
 // when dead rows cross half the live count or physical capacity runs
 // out. floc.pane.{rebuilds,patches,compactions} count the outcomes.
 //
-// Filling the caches (residue cache, pane) is NOT thread-safe: all cache
-// fills and mutations happen on the coordinating thread. The parallel
-// determination sweep reads the pane concurrently, so GainDeterminer
-// pre-builds every cluster's pane (EnsurePane) before fanning out; once
-// the pane's epoch stamp matches, EnsurePane is a read-only no-op and
+// The third epoch-stamped cache is the *bound stats*: per-line residue
+// statistics (sum of |r| or r^2, sum of r, sign counts) for every member
+// row and column, the inputs of the O(|J|) / O(|I|) after-toggle residue
+// lower bounds that let FLOC skip most exact scans (DESIGN.md
+// "Bound-and-prune"). A toggle moves every base, so these cannot be
+// patched: the first EnsureBoundStats() after a mutation rebuilds them in
+// one O(volume) pass over the pane. They are sized by membership (|I| +
+// |J| entries), not by the matrix.
+//
+// Filling the caches (residue cache, pane, bound stats) is NOT
+// thread-safe: all cache fills and mutations happen on the coordinating
+// thread. The parallel determination sweep reads the pane and the bound
+// stats concurrently, so GainDeterminer pre-builds both for every
+// cluster (EnsurePane, EnsureBoundStats) before fanning out; once their
+// epoch stamps match, the Ensure calls are read-only no-ops and
 // concurrent calls are safe. (The epoch counter itself is atomic only so
 // that unrelated workspaces on different threads can be constructed
 // safely.)
@@ -132,6 +142,37 @@ struct PackedPane {
   uint8_t MaskAt(size_t pane_row, size_t pane_col) const {
     return MaskRow(pane_row)[pane_col];
   }
+};
+
+/// Residue statistics of one axis's lines (member rows or member
+/// columns), one element per line. `base` is the line's current base
+/// (d_iJ or d_Ij) and `count` its specified entries n; `grow` / `shrink`
+/// are 1 / (n + 1) and 1 / (n - 1) (0 when n <= 1), the factors that
+/// move the base when a crossing line is added or removed. Over the
+/// line's specified entries, with r the entry residue:
+///   mean-absolute: mass = sum |r|, pos / neg = entries with r > 0 / r < 0
+///   mean-squared:  mass = sum r^2, sum = sum r
+/// The arrays a norm does not use are empty.
+struct LineResidueStats {
+  std::vector<double> base;
+  std::vector<double> grow;
+  std::vector<double> shrink;
+  std::vector<uint32_t> count;
+  std::vector<double> mass;
+  std::vector<double> sum;
+  std::vector<uint32_t> pos;
+  std::vector<uint32_t> neg;
+};
+
+/// The cluster's bound stats (see file comment): `cols` in pane-column
+/// (col_ids) order, accumulated down the member rows; `rows` in pane-row
+/// (row_ids) order, accumulated across the member columns.
+struct ResidueBoundStats {
+  LineResidueStats cols;
+  LineResidueStats rows;
+  /// Largest |d_ij| over the submatrix: the scale of the floating-point
+  /// margin the bounds subtract.
+  double max_abs_value = 0.0;
 };
 
 class ClusterWorkspace {
@@ -256,6 +297,17 @@ class ClusterWorkspace {
   /// patch-vs-rebuild costs be compared on identical toggle sequences.
   void InvalidatePane() const { pane_epoch_ = 0; }
 
+  // --- Bound stats (used by ResidueEngine's after-toggle bounds) ---
+
+  /// Returns the bound stats under `norm` for the current membership,
+  /// rebuilding them (one O(volume) pass over the pane) if stale or
+  /// built under the other norm. Same threading rule as EnsurePane():
+  /// pre-build on the coordinating thread before fanning out.
+  const ResidueBoundStats& EnsureBoundStats(CachedNormTag norm) const {
+    if (bound_epoch_ != epoch_ || bound_norm_ != norm) RebuildBoundStats(norm);
+    return bound_stats_;
+  }
+
   /// Bytes the packed pane currently holds (values + mask, including
   /// patch slack), fresh or stale. Feeds the session-status memory
   /// ledger (src/session/mining_session.h); costs two vector-size
@@ -276,6 +328,8 @@ class ClusterWorkspace {
   /// floc.pane.compactions counts the declined patch.
   void PatchPaneRow(size_t i, bool removed);
   void PatchPaneCol(size_t j, bool removed);
+  /// Full bound-stats rebuild under `norm` (cluster_workspace.cc).
+  void RebuildBoundStats(CachedNormTag norm) const;
 
   ClusterView view_;
   uint64_t epoch_;
@@ -285,6 +339,9 @@ class ClusterWorkspace {
   mutable uint64_t cached_epoch_ = 0;
   mutable PackedPane pane_;
   mutable uint64_t pane_epoch_ = 0;
+  mutable ResidueBoundStats bound_stats_;
+  mutable CachedNormTag bound_norm_ = CachedNormTag::kNone;
+  mutable uint64_t bound_epoch_ = 0;
 };
 
 }  // namespace deltaclus

@@ -16,6 +16,7 @@
 #include "src/core/floc_phases.h"
 #include "src/engine/thread_pool.h"
 #include "src/obs/trace.h"
+#include "src/util/check.h"
 
 namespace deltaclus {
 
@@ -147,27 +148,49 @@ size_t Floc::RefineSweep(const DataMatrix& matrix,
     size_t index;
   };
 
+  uint64_t pruned = 0;
   for (size_t c = 0; c < views.size(); ++c) {
-    // Rank every candidate toggle for this cluster by its score gain...
+    // Rank every candidate toggle for this cluster by its score gain,
+    // scanning only those whose gain bound clears min_improvement...
     std::vector<Candidate> candidates;
     candidates.reserve(num_rows + num_cols);
-    for (size_t i = 0; i < num_rows; ++i) {
-      if (!tracker.RowToggleAllowed(views, c, i)) continue;
+    auto consider = [&](ActionTarget target, size_t index) {
+      bool is_row = target == ActionTarget::kRow;
       size_t new_volume = 0;
-      double r = engine.ResidueAfterToggleRow(views[c], i, &new_volume);
+      double lower =
+          is_row ? engine.ResidueLowerBoundAfterToggleRow(views[c], index,
+                                                          &new_volume)
+                 : engine.ResidueLowerBoundAfterToggleCol(views[c], index,
+                                                          &new_volume);
+      double bound = scores[c] - ClusterScore(lower, new_volume);
+      bool prune = bound <= config_.min_improvement;
+      if (prune) ++pruned;
+      if (prune && !config_.audit) return;
+      auto after = [&](const auto& cluster_view) {
+        return is_row ? engine.ResidueAfterToggleRow(cluster_view, index,
+                                                     &new_volume)
+                      : engine.ResidueAfterToggleCol(cluster_view, index,
+                                                     &new_volume);
+      };
+      // Audit rescans pruned candidates on the uncounted, bit-identical
+      // gather path, as BestActionFor does.
+      double r = prune ? after(views[c].view()) : after(views[c]);
       double gain = scores[c] - ClusterScore(r, new_volume);
-      if (gain > config_.min_improvement) {
-        candidates.push_back({gain, ActionTarget::kRow, i});
+      if (config_.audit) {
+        DC_CHECK(gain <= bound)
+            << "refine gain bound violated at ("
+            << (is_row ? "row " : "col ") << index << ", cluster " << c
+            << "): gain " << gain << " > bound " << bound;
       }
+      if (gain > config_.min_improvement) {
+        candidates.push_back({gain, target, index});
+      }
+    };
+    for (size_t i = 0; i < num_rows; ++i) {
+      if (tracker.RowToggleAllowed(views, c, i)) consider(ActionTarget::kRow, i);
     }
     for (size_t j = 0; j < num_cols; ++j) {
-      if (!tracker.ColToggleAllowed(views, c, j)) continue;
-      size_t new_volume = 0;
-      double r = engine.ResidueAfterToggleCol(views[c], j, &new_volume);
-      double gain = scores[c] - ClusterScore(r, new_volume);
-      if (gain > config_.min_improvement) {
-        candidates.push_back({gain, ActionTarget::kCol, j});
-      }
+      if (tracker.ColToggleAllowed(views, c, j)) consider(ActionTarget::kCol, j);
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
@@ -203,6 +226,7 @@ size_t Floc::RefineSweep(const DataMatrix& matrix,
     }
   }
   FlocMetrics::Get().refine_toggles->Inc(applied);
+  FlocMetrics::Get().gain_pruned->Inc(pruned);
   return applied;
 }
 

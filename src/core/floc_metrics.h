@@ -1,6 +1,8 @@
 // Registry handles for FLOC's metric family, resolved once per process.
 // Shared between the core phase helpers (src/core/floc.cc, whose
-// RefineSweep counts refine toggles) and the session driver
+// RefineSweep counts refine toggles and pruned candidates;
+// src/core/gain_determiner.cc, which counts pruned and skipped gain
+// evaluations) and the session driver
 // (src/session/mining_session.cc, which records everything else): both
 // must increment the *same* registered instruments, and the registry
 // hands back a stable pointer per name, so the lookup table lives here
@@ -23,6 +25,8 @@ struct FlocMetrics {
   obs::Counter* refine_toggles;
   obs::Counter* reseed_slots;
   obs::Counter* clusters_skipped_clean;
+  obs::Counter* gain_pruned;
+  obs::Counter* gain_apply_skipped;
   obs::Gauge* last_average_residue;
   obs::Histogram* iteration_seconds;
   obs::QuantileHistogram* iteration_latency;
@@ -38,6 +42,8 @@ struct FlocMetrics {
           r.GetCounter("floc.refine.toggles"),
           r.GetCounter("floc.reseed.slots"),
           r.GetCounter("floc.sweep.clusters_skipped_clean"),
+          r.GetCounter("floc.gain.pruned"),
+          r.GetCounter("floc.gain.apply_skipped"),
           r.GetGauge("floc.last.average_residue"),
           r.GetHistogram("floc.iteration.seconds",
                          {0.001, 0.01, 0.1, 1.0, 10.0}),

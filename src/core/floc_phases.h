@@ -65,16 +65,44 @@ struct GainContext {
   // gains are always re-derived from `scores`, never cached.
   GainMemo* memo = nullptr;
   // Audit mode: every memo hit is recomputed and DC_CHECKed bit-equal
-  // to the cached value before being used.
-  bool audit_memo = false;
+  // to the cached value; every scanned gain is DC_CHECKed against its
+  // bound, and every pruned candidate is rescanned to confirm it could
+  // not have won.
+  bool audit = false;
+  // The caller drops any action whose gain is <= 0 (greedy apply: no
+  // negative actions, no annealing). Candidates whose gain bound is <= 0
+  // then need no scan, and when none is left the decision settles
+  // without one; the returned action is then blocked() or has gain <= 0.
+  bool drop_nonpositive = false;
+};
+
+/// Per-caller scratch of BestActionFor: the residue engine's buffers and
+/// the list of candidates awaiting an exact scan. One per thread.
+struct GainScratch {
+  struct Pending {
+    double bound;  ///< upper bound on the candidate's gain
+    size_t cluster;
+    GainMemo::Entry* slot;  ///< memo slot to fill, or null
+  };
+
+  explicit GainScratch(ResidueNorm norm) : engine(norm) {}
+
+  ResidueEngine engine;
+  std::vector<Pending> pending;
 };
 
 /// The best of the k candidate actions for one row (is_row) or column:
 /// the membership toggle with the highest objective gain among those not
-/// blocked by constraints. Read-only over the clustering (`engine` is
-/// per-caller scratch), so concurrent calls are safe.
+/// blocked by constraints, ties going to the lowest cluster index. Memo
+/// hits are exact; every other candidate first gets an O(|J|) / O(|I|)
+/// gain upper bound (ResidueEngine::ResidueLowerBoundAfterToggle*), and
+/// only those whose bound could still beat the best exact gain found so
+/// far are scanned, highest bound first. The result is identical to
+/// scanning every candidate. Read-only over the clustering once every
+/// cluster's pane and bound stats are built, so concurrent calls (each
+/// with its own `scratch`) are safe.
 Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
-                     ResidueEngine& engine);
+                     GainScratch& scratch);
 
 /// Phase-2 step 1: determines the best action for every row and column
 /// against the current clustering, sharded over the thread pool.
@@ -91,17 +119,18 @@ class GainDeterminer {
   /// the work-item count below which the scan always runs inline.
   /// `memo` is a non-owning, optional gain memo shared with the apply
   /// sweep (must be Configure()d for this matrix/cluster-count and
-  /// outlive the determiner); `audit_memo` recomputes every memo hit.
+  /// outlive the determiner); `audit` cross-checks every memo hit and
+  /// every bound (GainContext::audit).
   GainDeterminer(ResidueNorm norm, double target_residue,
                  engine::ThreadPool* pool,
                  size_t serial_cutoff = engine::EngineConfig::kDefaultSerialCutoff,
-                 GainMemo* memo = nullptr, bool audit_memo = false)
+                 GainMemo* memo = nullptr, bool audit = false)
       : norm_(norm),
         target_residue_(target_residue),
         pool_(pool),
         serial_cutoff_(serial_cutoff),
         memo_(memo),
-        audit_memo_(audit_memo) {}
+        audit_(audit) {}
 
   /// Returns rows() + cols() actions: rows first (action t targets row t
   /// for t < rows()), then columns. `scores` holds the current
@@ -123,7 +152,7 @@ class GainDeterminer {
   engine::ThreadPool* pool_;
   size_t serial_cutoff_;
   GainMemo* memo_;
-  bool audit_memo_;
+  bool audit_;
 };
 
 /// Phase-2 step 2: the order in which the N + M determined actions are

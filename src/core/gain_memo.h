@@ -72,13 +72,22 @@ class GainMemo {
  public:
   struct Entry {
     /// Membership epoch of the cluster at evaluation time; 0 = never
-    /// filled (ClusterWorkspace epochs start at 1).
+    /// filled (ClusterWorkspace epochs start at 1). With kBoundTag set,
+    /// the entry holds a lower bound instead of the exact residue.
     uint64_t epoch = 0;
-    /// Residue the cluster would have after toggling this entity.
+    /// Residue the cluster would have after toggling this entity (or,
+    /// under kBoundTag, ResidueEngine's lower bound on it).
     double after_residue = 0.0;
     /// Post-toggle volume (feeds the objective's volume term).
     size_t new_volume = 0;
   };
+
+  /// Epoch tag of an entry caching the after-toggle residue *bound*
+  /// (ResidueEngine::ResidueLowerBoundAfterToggle*), a pure function of
+  /// the membership just like the exact residue. A pair the bound
+  /// settled keeps its bound here until its cluster changes; an exact
+  /// scan overwrites it. Epochs never reach 2^63.
+  static constexpr uint64_t kBoundTag = uint64_t{1} << 63;
 
   GainMemo() = default;
 

@@ -1,5 +1,6 @@
 #include "src/core/residue.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -10,11 +11,6 @@
 namespace deltaclus {
 
 namespace {
-
-CachedNormTag TagFor(ResidueNorm norm) {
-  return norm == ResidueNorm::kMeanAbsolute ? CachedNormTag::kMeanAbsolute
-                                            : CachedNormTag::kMeanSquared;
-}
 
 // Specified entries visited by gain-evaluation scans (after-toggle
 // residues and cache-filling full scans). Relaxed atomic; no-op while
@@ -32,6 +28,47 @@ obs::Counter* GainEvalEntriesDenseCounter() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "floc.gain_eval_entries_dense");
   return counter;
+}
+
+// The toggled line's sums over the cluster and the post-toggle totals,
+// shared by every after-toggle scan and bound: a removal reads the
+// line's maintained sums, an addition sums the line over the cluster.
+struct ToggleTotals {
+  bool removing;
+  double toggled_sum;
+  size_t toggled_cnt;
+  double new_total;
+  size_t new_volume;
+};
+
+ToggleTotals WithNewTotals(const ClusterStats& stats, bool removing,
+                           double toggled_sum, size_t toggled_cnt) {
+  return {removing, toggled_sum, toggled_cnt,
+          removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum,
+          removing ? stats.Volume() - toggled_cnt
+                   : stats.Volume() + toggled_cnt};
+}
+
+ToggleTotals RowToggleTotals(const DataMatrix& m, const Cluster& c,
+                             const ClusterStats& stats, size_t i) {
+  if (c.HasRow(i)) {
+    return WithNewTotals(stats, true, stats.RowSum(i), stats.RowCount(i));
+  }
+  double sum = 0.0;
+  size_t cnt = 0;
+  ClusterStats::RowSumOverCols(m, c.col_ids(), i, &sum, &cnt);
+  return WithNewTotals(stats, false, sum, cnt);
+}
+
+ToggleTotals ColToggleTotals(const DataMatrix& m, const Cluster& c,
+                             const ClusterStats& stats, size_t j) {
+  if (c.HasCol(j)) {
+    return WithNewTotals(stats, true, stats.ColSum(j), stats.ColCount(j));
+  }
+  double sum = 0.0;
+  size_t cnt = 0;
+  ClusterStats::ColSumOverRows(m, c.row_ids(), j, &sum, &cnt);
+  return WithNewTotals(stats, false, sum, cnt);
 }
 
 // Lane-split row passes (DESIGN.md "The gain kernel"). All passes
@@ -177,7 +214,7 @@ double ResidueEngine::Residue(const ClusterView& view) {
 }
 
 double ResidueEngine::Residue(const ClusterWorkspace& ws) {
-  CachedNormTag tag = TagFor(norm_);
+  CachedNormTag tag = NormTag(norm_);
   if (!ws.ResidueCached(tag)) {
     // Cache miss: one full pane scan (bit-identical to the ClusterView
     // gather path), then remember its numerator/volume (stamped with the
@@ -274,6 +311,20 @@ double ResidueEngine::ResidueAfterToggleCol(const ClusterWorkspace& ws,
   return residue;
 }
 
+double ResidueEngine::ResidueLowerBoundAfterToggleRow(
+    const ClusterWorkspace& ws, size_t i, size_t* new_volume) {
+  return norm_ == ResidueNorm::kMeanSquared
+             ? LowerBoundRowImpl<true>(ws, i, new_volume)
+             : LowerBoundRowImpl<false>(ws, i, new_volume);
+}
+
+double ResidueEngine::ResidueLowerBoundAfterToggleCol(
+    const ClusterWorkspace& ws, size_t j, size_t* new_volume) {
+  return norm_ == ResidueNorm::kMeanSquared
+             ? LowerBoundColImpl<true>(ws, j, new_volume)
+             : LowerBoundColImpl<false>(ws, j, new_volume);
+}
+
 double ResidueEngine::ResidueAfterToggleRow(const ClusterView& view, size_t i,
                                             size_t* new_volume_out) {
   return norm_ == ResidueNorm::kMeanSquared
@@ -292,22 +343,8 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterView& view, size_t i,
   const uint8_t* row_mask_i = m.RowMask(i).data();
   dense_entries_last_scan_ = 0;
 
-  bool removing = c.HasRow(i);
-
-  // Row i's sums over the cluster's columns.
-  double toggled_sum = 0.0;
-  size_t toggled_cnt = 0;
-  if (removing) {
-    toggled_sum = stats.RowSum(i);
-    toggled_cnt = stats.RowCount(i);
-  } else {
-    ClusterStats::RowSumOverCols(m, col_ids, i, &toggled_sum, &toggled_cnt);
-  }
-
-  double new_total =
-      removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
-  size_t new_volume =
-      removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
+  auto [removing, toggled_sum, toggled_cnt, new_total, new_volume] =
+      RowToggleTotals(m, c, stats, i);
   if (new_volume_out != nullptr) *new_volume_out = new_volume;
   if (new_volume == 0) return 0.0;
   double cluster_base = new_total / new_volume;
@@ -384,21 +421,8 @@ double ResidueEngine::AfterToggleColImpl(const ClusterView& view, size_t j,
   const auto& row_ids = c.row_ids();
   dense_entries_last_scan_ = 0;
 
-  bool removing = c.HasCol(j);
-
-  double toggled_sum = 0.0;
-  size_t toggled_cnt = 0;
-  if (removing) {
-    toggled_sum = stats.ColSum(j);
-    toggled_cnt = stats.ColCount(j);
-  } else {
-    ClusterStats::ColSumOverRows(m, row_ids, j, &toggled_sum, &toggled_cnt);
-  }
-
-  double new_total =
-      removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
-  size_t new_volume =
-      removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
+  auto [removing, toggled_sum, toggled_cnt, new_total, new_volume] =
+      ColToggleTotals(m, c, stats, j);
   if (new_volume_out != nullptr) *new_volume_out = new_volume;
   if (new_volume == 0) return 0.0;
   double cluster_base = new_total / new_volume;
@@ -528,21 +552,8 @@ double ResidueEngine::AfterToggleRowPaneImpl(const ClusterWorkspace& ws,
   const uint8_t* row_mask_i = m.RowMask(i).data();
   dense_entries_last_scan_ = 0;
 
-  bool removing = c.HasRow(i);
-
-  double toggled_sum = 0.0;
-  size_t toggled_cnt = 0;
-  if (removing) {
-    toggled_sum = stats.RowSum(i);
-    toggled_cnt = stats.RowCount(i);
-  } else {
-    ClusterStats::RowSumOverCols(m, col_ids, i, &toggled_sum, &toggled_cnt);
-  }
-
-  double new_total =
-      removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
-  size_t new_volume =
-      removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
+  auto [removing, toggled_sum, toggled_cnt, new_total, new_volume] =
+      RowToggleTotals(m, c, stats, i);
   if (new_volume_out != nullptr) *new_volume_out = new_volume;
   if (new_volume == 0) return 0.0;
   double cluster_base = new_total / new_volume;
@@ -620,21 +631,8 @@ double ResidueEngine::AfterToggleColPaneImpl(const ClusterWorkspace& ws,
   const auto& row_ids = c.row_ids();
   dense_entries_last_scan_ = 0;
 
-  bool removing = c.HasCol(j);
-
-  double toggled_sum = 0.0;
-  size_t toggled_cnt = 0;
-  if (removing) {
-    toggled_sum = stats.ColSum(j);
-    toggled_cnt = stats.ColCount(j);
-  } else {
-    ClusterStats::ColSumOverRows(m, row_ids, j, &toggled_sum, &toggled_cnt);
-  }
-
-  double new_total =
-      removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
-  size_t new_volume =
-      removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
+  auto [removing, toggled_sum, toggled_cnt, new_total, new_volume] =
+      ColToggleTotals(m, c, stats, j);
   if (new_volume_out != nullptr) *new_volume_out = new_volume;
   if (new_volume == 0) return 0.0;
   double cluster_base = new_total / new_volume;
@@ -724,6 +722,163 @@ double ResidueEngine::AfterToggleColPaneImpl(const ClusterWorkspace& ws,
   }
   dense_entries_last_scan_ = dense_entries;
   return acc / new_volume;
+}
+
+// ---------------------------------------------------------------------------
+// After-toggle lower bounds (DESIGN.md "Bound-and-prune"). One pass over
+// the crossing lines of the toggled entity (the member columns for a row
+// toggle, the member rows for a column toggle): each line's base shift,
+// the bound on its surviving residues' post-toggle sum from the line's
+// bound stats, and the toggled entity's own entry on that line exactly.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Lower bound on the sum over a line's n surviving residues r of
+// contribution(r + e), from the line's stats with the toggled entry
+// already taken out. Mean-absolute: entries whose sign matches e (zeros
+// included) gain exactly |e|, the others lose at most |e|. Mean-squared:
+// the identity sum (r + e)^2 = Q + 2eT + n e^2. Clamped at 0, which every
+// sum of contributions is.
+template <bool kSquared>
+inline double LineBound(double mass, double sum, uint32_t pos, uint32_t neg,
+                        uint32_t n, double e) {
+  double bound;
+  if (kSquared) {
+    bound = mass + e * (2.0 * sum + static_cast<double>(n) * e);
+  } else {
+    uint32_t opposite = e >= 0.0 ? neg : pos;
+    bound = mass + std::fabs(e) * (static_cast<double>(n - opposite) -
+                                   static_cast<double>(opposite));
+  }
+  return bound > 0.0 ? bound : 0.0;
+}
+
+// The numerator bound summed over the crossing lines. `ids` maps line t
+// to its index into the toggled entity's `values` / `mask` (a matrix row
+// gathered by column id, or a column-major column gathered by row id).
+// `own_base` is the toggled entity's base: its current one on removal
+// (its residues are taken out of the line stats, bit-identical to the
+// stats build), its post-toggle one on addition (its new entries are
+// scored). kRowToggle fixes the operand order of the entry residues.
+template <bool kSquared, bool kRowToggle>
+double CrossingLinesBound(const LineResidueStats& lines, const uint32_t* ids,
+                          const double* values, const uint8_t* mask,
+                          bool removing, double own_base,
+                          double old_cluster_base, double cluster_base,
+                          double& max_abs) {
+  double delta = cluster_base - old_cluster_base;
+  double numerator = 0.0;
+  for (size_t t = 0; t < lines.base.size(); ++t) {
+    double base = lines.base[t];
+    double mass = lines.mass[t];
+    double sum = kSquared ? lines.sum[t] : 0.0;
+    uint32_t pos = kSquared ? 0 : lines.pos[t];
+    uint32_t neg = kSquared ? 0 : lines.neg[t];
+    uint32_t n = lines.count[t];
+    // The line's base moves only where the toggled entity has an entry:
+    // by (v - base) / (n + 1) on addition, (base - v) / (n - 1) on
+    // removal.
+    double shift = 0.0;
+    uint32_t id = ids[t];
+    if (mask[id]) {
+      double v = values[id];
+      if (removing) {
+        double r = kRowToggle
+                       ? EntryResidue(v, own_base, base, old_cluster_base)
+                       : EntryResidue(v, base, own_base, old_cluster_base);
+        if (kSquared) {
+          mass -= r * r;
+          sum -= r;
+        } else {
+          mass -= std::fabs(r);
+          pos -= r > 0.0 ? 1 : 0;
+          neg -= r < 0.0 ? 1 : 0;
+        }
+        --n;
+        shift = (base - v) * lines.shrink[t];
+      } else {
+        shift = (v - base) * lines.grow[t];
+        double new_base = base + shift;
+        numerator += kRowToggle ? Contribution<kSquared>(v, own_base, new_base,
+                                                         cluster_base)
+                                : Contribution<kSquared>(v, new_base, own_base,
+                                                         cluster_base);
+        max_abs = std::max(max_abs, std::fabs(v));
+      }
+    }
+    numerator += LineBound<kSquared>(mass, sum, pos, neg, n, delta - shift);
+  }
+  return numerator;
+}
+
+// Relative floating-point margin of the lower bounds. The scan and the
+// bound each round every entry residue to within a few ulps of max|d|
+// and sum at most |I| + |J| terms per chain; 1e-9 leaves five orders of
+// magnitude of headroom for clusters up to ~10^6 lines.
+constexpr double kBoundMargin = 1e-9;
+
+// Subtracts the floating-point margin and forms the residue.
+template <bool kSquared>
+inline double FinishBound(double numerator, size_t new_volume,
+                          double max_abs) {
+  double scale = kSquared ? max_abs * max_abs : max_abs;
+  numerator -= kBoundMargin * static_cast<double>(new_volume) * scale;
+  return numerator > 0.0 ? numerator / static_cast<double>(new_volume) : 0.0;
+}
+
+}  // namespace
+
+template <bool kSquared>
+double ResidueEngine::LowerBoundRowImpl(const ClusterWorkspace& ws, size_t i,
+                                        size_t* new_volume_out) {
+  const DataMatrix& m = ws.matrix();
+  const Cluster& c = ws.cluster();
+  const ClusterStats& stats = ws.stats();
+  const auto& col_ids = c.col_ids();
+
+  auto [removing, toggled_sum, toggled_cnt, new_total, new_volume] =
+      RowToggleTotals(m, c, stats, i);
+  *new_volume_out = new_volume;
+  if (new_volume == 0) return 0.0;
+
+  const ResidueBoundStats& bs = ws.EnsureBoundStats(NormTag(norm_));
+  double row_base_i = removing ? stats.RowBase(i)
+                      : toggled_cnt == 0
+                          ? 0.0
+                          : toggled_sum / toggled_cnt;
+  double max_abs = bs.max_abs_value;
+  double numerator = CrossingLinesBound<kSquared, true>(
+      bs.cols, col_ids.data(), m.RowValues(i).data(), m.RowMask(i).data(),
+      removing, row_base_i, stats.ClusterBase(), new_total / new_volume,
+      max_abs);
+  return FinishBound<kSquared>(numerator, new_volume, max_abs);
+}
+
+template <bool kSquared>
+double ResidueEngine::LowerBoundColImpl(const ClusterWorkspace& ws, size_t j,
+                                        size_t* new_volume_out) {
+  const DataMatrix& m = ws.matrix();
+  const Cluster& c = ws.cluster();
+  const ClusterStats& stats = ws.stats();
+  const auto& row_ids = c.row_ids();
+
+  auto [removing, toggled_sum, toggled_cnt, new_total, new_volume] =
+      ColToggleTotals(m, c, stats, j);
+  *new_volume_out = new_volume;
+  if (new_volume == 0) return 0.0;
+
+  const ResidueBoundStats& bs = ws.EnsureBoundStats(NormTag(norm_));
+  double col_base_j = removing ? stats.ColBase(j)
+                      : toggled_cnt == 0
+                          ? 0.0
+                          : toggled_sum / toggled_cnt;
+  double max_abs = bs.max_abs_value;
+  double numerator = CrossingLinesBound<kSquared, false>(
+      bs.rows, row_ids.data(), m.ColValues(j).data(), m.ColMask(j).data(),
+      removing, col_base_j, stats.ClusterBase(), new_total / new_volume,
+      max_abs);
+  return FinishBound<kSquared>(numerator, new_volume, max_abs);
 }
 
 }  // namespace deltaclus

@@ -50,6 +50,12 @@ enum class ResidueNorm {
   kMeanSquared,
 };
 
+/// The workspace cache tag of a norm.
+inline CachedNormTag NormTag(ResidueNorm norm) {
+  return norm == ResidueNorm::kMeanAbsolute ? CachedNormTag::kMeanAbsolute
+                                            : CachedNormTag::kMeanSquared;
+}
+
 // ---------------------------------------------------------------------------
 // Reference (naive) implementations. These recompute everything from the
 // matrix on each call; they are the executable specification used by the
@@ -126,6 +132,25 @@ class ResidueEngine {
   double ResidueAfterToggleCol(const ClusterWorkspace& ws, size_t j,
                                size_t* new_volume = nullptr);
 
+  /// Lower bounds on ResidueAfterToggleRow / ResidueAfterToggleCol in
+  /// O(|J|) / O(|I|) instead of O(volume), read off the workspace's
+  /// bound stats (built here if stale -- concurrent callers must
+  /// pre-build them, as with the pane). A row toggle moves no member's
+  /// row base, so every remaining residue in column j shifts by the same
+  /// e_j = (change of the cluster base) - (change of column j's base);
+  /// |r + e| >= |r| + |e| when r has e's sign (zero included) and
+  /// >= |r| - |e| otherwise, which bounds each column's sum from its
+  /// mass and sign counts (mean-squared: the sum is exactly
+  /// Q + 2eT + n e^2). The toggled line itself is computed exactly.
+  /// A margin of 1e-9 x volume x max|d| (max|d|^2 when squared) is
+  /// subtracted so the bound also holds for the floating-point scan.
+  /// `new_volume` receives the exact post-toggle volume. DESIGN.md
+  /// "Bound-and-prune" has the derivation.
+  double ResidueLowerBoundAfterToggleRow(const ClusterWorkspace& ws, size_t i,
+                                         size_t* new_volume);
+  double ResidueLowerBoundAfterToggleCol(const ClusterWorkspace& ws, size_t j,
+                                         size_t* new_volume);
+
   /// Gain of the action "toggle row i in this cluster": current residue
   /// minus post-action residue. Positive gain = improvement. The view
   /// overloads pay a full standing-residue scan per call.
@@ -178,6 +203,12 @@ class ResidueEngine {
   template <bool kSquared>
   double AfterToggleColPaneImpl(const ClusterWorkspace& ws, size_t j,
                                 size_t* new_volume_out);
+  template <bool kSquared>
+  double LowerBoundRowImpl(const ClusterWorkspace& ws, size_t i,
+                           size_t* new_volume_out);
+  template <bool kSquared>
+  double LowerBoundColImpl(const ClusterWorkspace& ws, size_t j,
+                           size_t* new_volume_out);
 
   ResidueNorm norm_;
   // Scratch: column bases aligned with the visited-column list of the

@@ -36,11 +36,18 @@ struct LaneAcc {
   double Reduce() const { return (l[0] + l[1]) + (l[2] + l[3]); }
 };
 
+/// Entry residue r_ij = d_ij - d_iJ - d_Ij + d_IJ, in the one operation
+/// order every kernel and the residue-bound statistics share.
+inline double EntryResidue(double value, double row_base, double col_base,
+                           double cluster_base) {
+  return value - row_base - col_base + cluster_base;
+}
+
 /// Per-entry contribution to the residue numerator in the given norm.
 template <bool kSquared>
 inline double Contribution(double value, double row_base, double col_base,
                            double cluster_base) {
-  double r = value - row_base - col_base + cluster_base;
+  double r = EntryResidue(value, row_base, col_base, cluster_base);
   if (kSquared) return r * r;
   // std::fabs compiles to a branchless sign-bit mask. A conditional
   // negation here costs a data-dependent branch per entry, and residue

@@ -121,6 +121,8 @@ DataMatrix ReadCsvFile(const std::string& path,
 }
 
 void WriteTriples(const DataMatrix& matrix, std::ostream& os) {
+  // Round-trip exactness, as in WriteCsv.
+  os << std::setprecision(std::numeric_limits<double>::max_digits10);
   for (size_t i = 0; i < matrix.rows(); ++i) {
     for (size_t j = 0; j < matrix.cols(); ++j) {
       if (!matrix.IsSpecified(i, j)) continue;

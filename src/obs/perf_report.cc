@@ -21,6 +21,8 @@ constexpr char kEntriesScanned[] = "floc.gain_eval_entries_scanned";
 constexpr char kEntriesDense[] = "floc.gain_eval_entries_dense";
 constexpr char kMemoServed[] = "floc.gain_evals_served_from_cache";
 constexpr char kMemoRecomputed[] = "floc.gain_evals_recomputed";
+constexpr char kGainPruned[] = "floc.gain.pruned";
+constexpr char kGainApplySkipped[] = "floc.gain.apply_skipped";
 constexpr char kPoolSweeps[] = "engine.pool.sweeps";
 constexpr char kPoolShards[] = "engine.pool.shards";
 constexpr char kPaneRebuilds[] = "floc.pane.rebuilds";
@@ -54,6 +56,8 @@ PerfAccounting::PerfAccounting() : start_ns_(MonotonicNowNs()) {
   entries_dense_ = r.GetCounter(kEntriesDense)->Value();
   gain_evals_served_ = r.GetCounter(kMemoServed)->Value();
   gain_evals_recomputed_ = r.GetCounter(kMemoRecomputed)->Value();
+  gain_evals_pruned_ = r.GetCounter(kGainPruned)->Value();
+  gain_apply_skipped_ = r.GetCounter(kGainApplySkipped)->Value();
   pool_sweeps_ = r.GetCounter(kPoolSweeps)->Value();
   pool_shards_ = r.GetCounter(kPoolShards)->Value();
   pane_rebuilds_ = r.GetCounter(kPaneRebuilds)->Value();
@@ -91,6 +95,10 @@ PerfReport PerfAccounting::Finish(
         SatSub(r.GetCounter(kMemoServed)->Value(), gain_evals_served_);
     report.gain_evals_recomputed =
         SatSub(r.GetCounter(kMemoRecomputed)->Value(), gain_evals_recomputed_);
+    report.gain_evals_pruned =
+        SatSub(r.GetCounter(kGainPruned)->Value(), gain_evals_pruned_);
+    report.gain_apply_skipped = SatSub(
+        r.GetCounter(kGainApplySkipped)->Value(), gain_apply_skipped_);
     report.pool_sweeps =
         SatSub(r.GetCounter(kPoolSweeps)->Value(), pool_sweeps_);
     report.pool_shards =
@@ -117,6 +125,11 @@ PerfReport PerfAccounting::Finish(
         evals > 0 ? static_cast<double>(report.gain_evals_served) /
                         static_cast<double>(evals)
                   : 0.0;
+    uint64_t misses = report.gain_evals_pruned + report.gain_evals_recomputed;
+    report.gain_prune_rate =
+        misses > 0 ? static_cast<double>(report.gain_evals_pruned) /
+                         static_cast<double>(misses)
+                   : 0.0;
     report.shard_imbalance = PerfQuantiles::From(
         r.GetQuantileHistogram(kShardImbalance, RatioOptions())
             ->Snapshot()
@@ -194,9 +207,12 @@ void PerfReport::WriteJson(std::ostream& out) const {
   w.Key("entries_scanned").Uint(entries_scanned);
   w.Key("gain_evals_served").Uint(gain_evals_served);
   w.Key("gain_evals_recomputed").Uint(gain_evals_recomputed);
+  w.Key("gain_evals_pruned").Uint(gain_evals_pruned);
+  w.Key("gain_apply_skipped").Uint(gain_apply_skipped);
   w.Key("entries_per_second").Number(entries_per_second);
   w.Key("dense_dispatch_rate").Number(dense_dispatch_rate);
   w.Key("gain_memo_hit_rate").Number(gain_memo_hit_rate);
+  w.Key("gain_prune_rate").Number(gain_prune_rate);
   w.Key("pool_sweeps").Uint(pool_sweeps);
   w.Key("pool_shards").Uint(pool_shards);
   w.Key("pane_rebuilds").Uint(pane_rebuilds);
@@ -264,6 +280,13 @@ void PerfReport::PrintTable(std::ostream& out) const {
       gain_memo_hit_rate * 100.0,
       static_cast<unsigned long long>(gain_evals_served),
       static_cast<unsigned long long>(gain_evals_recomputed));
+  out << buf;
+  std::snprintf(buf, sizeof(buf),
+                "  gain bound        : %.1f%% of misses pruned (%llu pruned), "
+                "%llu apply re-decisions skipped\n",
+                gain_prune_rate * 100.0,
+                static_cast<unsigned long long>(gain_evals_pruned),
+                static_cast<unsigned long long>(gain_apply_skipped));
   out << buf;
   std::snprintf(buf, sizeof(buf),
                 "  pane              : %llu patches / %llu rebuilds "

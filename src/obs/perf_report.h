@@ -62,9 +62,12 @@ struct PerfReport {
   uint64_t entries_scanned = 0;
   uint64_t gain_evals_served = 0;
   uint64_t gain_evals_recomputed = 0;
+  uint64_t gain_evals_pruned = 0;    // memo misses settled by the bound
+  uint64_t gain_apply_skipped = 0;   // greedy re-decisions with no scan
   double entries_per_second = 0.0;
   double dense_dispatch_rate = 0.0;  // dense entries / scanned entries
   double gain_memo_hit_rate = 0.0;   // served / (served + recomputed)
+  double gain_prune_rate = 0.0;      // pruned / (pruned + recomputed)
   uint64_t pool_sweeps = 0;
   uint64_t pool_shards = 0;
   uint64_t pane_rebuilds = 0;      // full gather rebuilds of a packed pane
@@ -105,6 +108,8 @@ class PerfAccounting {
   uint64_t entries_dense_ = 0;
   uint64_t gain_evals_served_ = 0;
   uint64_t gain_evals_recomputed_ = 0;
+  uint64_t gain_evals_pruned_ = 0;
+  uint64_t gain_apply_skipped_ = 0;
   uint64_t pool_sweeps_ = 0;
   uint64_t pool_shards_ = 0;
   uint64_t pane_rebuilds_ = 0;

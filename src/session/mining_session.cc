@@ -368,7 +368,9 @@ void MiningSession::StepMove() {
     // Clusters whose epoch is unchanged since the previous sweep (the
     // rewind skipped them as clean) are served wholesale from the gain
     // memo below: every (entity, cluster) stripe still carries a
-    // matching stamp, so the determiner performs zero rescans of them.
+    // matching stamp -- an exact residue, or the cached bound of a pair
+    // the bound settled -- so the determiner rebuilds nothing for them
+    // and rescans only bound-settled pairs that could now win.
     if (memo_ != nullptr) {
       uint64_t clean = 0;
       for (size_t c = 0; c < k_; ++c) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/core/audit.h"
 #include "src/core/residue.h"
 #include "src/obs/metrics.h"
@@ -293,6 +295,134 @@ TEST(ClusterWorkspaceTest, RandomizedTogglePatchingMatchesRebuild) {
     }
     ExpectPaneMirrorsCluster(ws);
     if (HasFatalFailure()) return;
+  }
+}
+
+// --- Bound stats and the after-toggle residue lower bounds ---
+
+TEST(ClusterWorkspaceTest, BoundStatsMatchNaiveResidues) {
+  DataMatrix m = SmallMatrix();
+  Cluster c = SmallCluster();
+  ClusterWorkspace ws(m, c);
+  const ResidueBoundStats& bs =
+      ws.EnsureBoundStats(CachedNormTag::kMeanAbsolute);
+  ASSERT_EQ(bs.cols.mass.size(), c.NumCols());
+  ASSERT_EQ(bs.rows.mass.size(), c.NumRows());
+  for (size_t idx = 0; idx < c.NumCols(); ++idx) {
+    size_t j = c.col_ids()[idx];
+    double mass = 0.0;
+    uint32_t pos = 0;
+    uint32_t neg = 0;
+    for (uint32_t i : c.row_ids()) {
+      if (!m.IsSpecified(i, j)) continue;
+      double r = EntryResidueNaive(m, c, i, j);
+      mass += std::abs(r);
+      // Residues within rounding of 0 may land on either side.
+      if (r > 1e-12) ++pos;
+      if (r < -1e-12) ++neg;
+    }
+    EXPECT_NEAR(bs.cols.mass[idx], mass, 1e-12) << "column " << j;
+    EXPECT_GE(bs.cols.pos[idx], pos);
+    EXPECT_GE(bs.cols.neg[idx], neg);
+    EXPECT_EQ(bs.cols.count[idx], ws.stats().ColCount(j));
+    EXPECT_EQ(bs.cols.base[idx], ws.stats().ColBase(j));
+  }
+  EXPECT_EQ(bs.max_abs_value, 8.0);  // row 3's 9.0 is outside I
+  // Rebuilt under the other norm: squared sums instead of sign counts.
+  const ResidueBoundStats& sq =
+      ws.EnsureBoundStats(CachedNormTag::kMeanSquared);
+  EXPECT_TRUE(sq.cols.pos.empty());
+  EXPECT_EQ(sq.cols.sum.size(), c.NumCols());
+}
+
+// Randomized sweep: on dense and masked matrices, for random clusters
+// and every row and column add/remove, under both norms, the bound
+// never exceeds the exact after-toggle residue and reports the exact
+// post-toggle volume. The bound is also required to be useful: on
+// average it recovers most of the exact residue.
+TEST(ClusterWorkspaceTest, LowerBoundsNeverExceedExactAfterToggleResidue) {
+  for (double missing : {0.0, 0.3}) {
+    SyntheticConfig config;
+    config.rows = 40;
+    config.cols = 24;
+    config.num_clusters = 3;
+    config.volume_mean = 120;
+    config.noise_stddev = 1.5;
+    config.missing_fraction = missing;
+    config.seed = 31;
+    SyntheticDataset data = GenerateSynthetic(config);
+    const DataMatrix& m = data.matrix;
+    for (ResidueNorm norm :
+         {ResidueNorm::kMeanAbsolute, ResidueNorm::kMeanSquared}) {
+      ResidueEngine engine(norm);
+      Rng rng(missing > 0 ? 5 : 6);
+      double bound_mass = 0.0;
+      double exact_mass = 0.0;
+      for (int trial = 0; trial < 12; ++trial) {
+        Cluster c(m.rows(), m.cols());
+        for (size_t i = 0; i < m.rows(); ++i) {
+          if (rng.Bernoulli(0.4)) c.AddRow(i);
+        }
+        for (size_t j = 0; j < m.cols(); ++j) {
+          if (rng.Bernoulli(0.5)) c.AddCol(j);
+        }
+        ClusterWorkspace ws(m, c);
+        auto check = [&](bool is_row, size_t x) {
+          size_t bound_volume = 0;
+          size_t exact_volume = 0;
+          double bound =
+              is_row ? engine.ResidueLowerBoundAfterToggleRow(ws, x,
+                                                              &bound_volume)
+                     : engine.ResidueLowerBoundAfterToggleCol(ws, x,
+                                                              &bound_volume);
+          double exact =
+              is_row ? engine.ResidueAfterToggleRow(ws, x, &exact_volume)
+                     : engine.ResidueAfterToggleCol(ws, x, &exact_volume);
+          EXPECT_LE(bound, exact)
+              << (is_row ? "row " : "col ") << x << " trial " << trial;
+          EXPECT_EQ(bound_volume, exact_volume);
+          bound_mass += bound;
+          exact_mass += exact;
+        };
+        for (size_t i = 0; i < m.rows(); ++i) check(true, i);
+        for (size_t j = 0; j < m.cols(); ++j) check(false, j);
+        if (HasFailure()) return;
+      }
+      EXPECT_GT(bound_mass, 0.5 * exact_mass)
+          << "missing " << missing << " squared "
+          << (norm == ResidueNorm::kMeanSquared);
+    }
+  }
+}
+
+TEST(ClusterWorkspaceTest, SquaredNormBoundIsTheExactIdentityLessMargin) {
+  // Under the mean-squared norm the bound is the identity
+  // sum (r + e)^2 = Q + 2eT + n e^2, so it matches the scan to within
+  // its floating-point margin (about 1e-9 x max|d|^2 per entry).
+  SyntheticConfig config;
+  config.rows = 30;
+  config.cols = 12;
+  config.num_clusters = 2;
+  config.noise_stddev = 2.0;
+  config.seed = 17;
+  SyntheticDataset data = GenerateSynthetic(config);
+  const DataMatrix& m = data.matrix;
+  ClusterWorkspace ws(m, Cluster::FromMembers(30, 12, {0, 2, 4, 6, 8, 10, 12},
+                                              {1, 3, 5, 7, 9}));
+  ResidueEngine engine(ResidueNorm::kMeanSquared);
+  for (size_t i = 0; i < m.rows(); ++i) {
+    size_t volume = 0;
+    double bound = engine.ResidueLowerBoundAfterToggleRow(ws, i, &volume);
+    double exact = engine.ResidueAfterToggleRow(ws, i);
+    EXPECT_LE(bound, exact);
+    EXPECT_NEAR(bound, exact, 1e-6 * (1.0 + exact)) << "row " << i;
+  }
+  for (size_t j = 0; j < m.cols(); ++j) {
+    size_t volume = 0;
+    double bound = engine.ResidueLowerBoundAfterToggleCol(ws, j, &volume);
+    double exact = engine.ResidueAfterToggleCol(ws, j);
+    EXPECT_LE(bound, exact);
+    EXPECT_NEAR(bound, exact, 1e-6 * (1.0 + exact)) << "col " << j;
   }
 }
 

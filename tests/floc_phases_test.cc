@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <numeric>
@@ -21,7 +22,10 @@
 #include "src/core/data_matrix.h"
 #include "src/core/floc.h"
 #include "src/data/synthetic.h"
+#include "src/core/gain_memo.h"
+#include "src/core/residue.h"
 #include "src/engine/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
 #include "src/util/rng.h"
 
@@ -31,7 +35,9 @@ namespace {
 // A planted matrix plus a clustering state (views / scores / tracker)
 // shaped like the middle of a FLOC run.
 struct Fixture {
-  explicit Fixture(size_t rows, size_t cols, uint64_t seed) {
+  explicit Fixture(size_t rows, size_t cols, uint64_t seed,
+                   ResidueNorm norm = ResidueNorm::kMeanAbsolute)
+      : norm(norm) {
     SyntheticConfig config;
     config.rows = rows;
     config.cols = cols;
@@ -61,14 +67,36 @@ struct Fixture {
     }
     tracker->Rebuild(views);
 
-    ResidueEngine engine(ResidueNorm::kMeanAbsolute);
+    RescoreAll();
+  }
+
+  void RescoreAll() {
+    ResidueEngine engine(norm);
+    scores.clear();
     for (const ClusterWorkspace& ws : views) {
       scores.push_back(ObjectiveScore(engine.Residue(ws),
                                       ws.stats().Volume(), kTarget));
     }
   }
 
+  GainContext Context(GainMemo* memo = nullptr, bool audit = false,
+                      bool drop_nonpositive = false) const {
+    return GainContext{&views, &scores,  tracker.get(), kTarget,
+                       nullptr, memo,     audit,         drop_nonpositive};
+  }
+
+  // Drops the overlap cap, under which the overlapping seeds block most
+  // toggles; keeps the occupancy threshold.
+  void RelaxConstraints() {
+    Constraints constraints;
+    constraints.alpha = 0.5;
+    tracker = std::make_unique<ConstraintTracker>(data.matrix, constraints);
+    tracker->Rebuild(views);
+  }
+
   static constexpr double kTarget = 1.0;
+
+  ResidueNorm norm;
 
   SyntheticDataset data;
   std::vector<ClusterWorkspace> views;
@@ -153,6 +181,269 @@ TEST(GainDeterminerTest, BlockCountsIdenticalSerialAndPooled) {
   pooled.Determine(fx.data.matrix, fx.views, fx.scores, *fx.tracker,
                    &pooled_blocked);
   EXPECT_EQ(serial_blocked.counts, pooled_blocked.counts);
+}
+
+// The decision rule before bound-and-prune, verbatim: every unblocked
+// candidate scanned, strict > in ascending cluster order.
+Action ExhaustiveBestAction(bool is_row, size_t index, const Fixture& fx) {
+  Action best;
+  best.target = is_row ? ActionTarget::kRow : ActionTarget::kCol;
+  best.index = index;
+  ResidueEngine engine(fx.norm);
+  for (size_t c = 0; c < fx.views.size(); ++c) {
+    bool allowed = is_row ? fx.tracker->RowToggleAllowed(fx.views, c, index)
+                          : fx.tracker->ColToggleAllowed(fx.views, c, index);
+    if (!allowed) continue;
+    size_t volume = 0;
+    double residue =
+        is_row ? engine.ResidueAfterToggleRow(fx.views[c], index, &volume)
+               : engine.ResidueAfterToggleCol(fx.views[c], index, &volume);
+    double gain =
+        fx.scores[c] - ObjectiveScore(residue, volume, Fixture::kTarget);
+    if (best.blocked() || gain > best.gain) {
+      best.gain = gain;
+      best.cluster = c;
+    }
+  }
+  return best;
+}
+
+// Checks BestActionFor against the exhaustive rule for every row and
+// column. Under drop_nonpositive only a positive exhaustive best must be
+// reproduced; otherwise the pruned decision must be one the caller drops.
+void ExpectPrunedMatchesExhaustive(const Fixture& fx, GainMemo* memo,
+                                   bool drop_nonpositive = false) {
+  GainScratch scratch(fx.norm);
+  GainContext ctx = fx.Context(memo, /*audit=*/false, drop_nonpositive);
+  size_t rows = fx.data.matrix.rows();
+  size_t total = rows + fx.data.matrix.cols();
+  for (size_t t = 0; t < total; ++t) {
+    bool is_row = t < rows;
+    size_t index = is_row ? t : t - rows;
+    Action want = ExhaustiveBestAction(is_row, index, fx);
+    Action got = BestActionFor(is_row, index, ctx, scratch);
+    if (drop_nonpositive && (want.blocked() || want.gain <= 0.0)) {
+      EXPECT_TRUE(got.blocked() || got.gain <= 0.0) << "entity " << t;
+      continue;
+    }
+    EXPECT_EQ(got.cluster, want.cluster) << "entity " << t;
+    EXPECT_EQ(got.gain, want.gain) << "entity " << t;  // bit-identical
+  }
+}
+
+TEST(BestActionForTest, PrunedMatchesExhaustiveBothNorms) {
+  for (ResidueNorm norm :
+       {ResidueNorm::kMeanAbsolute, ResidueNorm::kMeanSquared}) {
+    Fixture fx(120, 30, 53, norm);
+    ExpectPrunedMatchesExhaustive(fx, nullptr);
+    fx.RelaxConstraints();
+    ExpectPrunedMatchesExhaustive(fx, nullptr);
+    // With a memo: the first sweep fills exact entries and cached
+    // bounds, the second is served from them.
+    GainMemo memo;
+    memo.Configure(fx.data.matrix.rows(), fx.data.matrix.cols(),
+                   fx.views.size());
+    ExpectPrunedMatchesExhaustive(fx, &memo);
+    ExpectPrunedMatchesExhaustive(fx, &memo);
+    // One cluster moves: its entries go stale, the rest still serve.
+    fx.views[1].ToggleRow(100);
+    fx.tracker->Rebuild(fx.views);
+    fx.RescoreAll();
+    ExpectPrunedMatchesExhaustive(fx, &memo);
+  }
+}
+
+TEST(BestActionForTest, ExactTiesGoToTheLowestCluster) {
+  // Clusters 1 and 2 are the same membership with stats built the same
+  // way, so every candidate gain ties bit for bit between them.
+  Fixture fx(60, 20, 59);
+  fx.views[2] = ClusterWorkspace(fx.data.matrix, fx.views[1].cluster());
+  fx.RelaxConstraints();
+  fx.RescoreAll();
+  ASSERT_EQ(fx.scores[1], fx.scores[2]);
+  ExpectPrunedMatchesExhaustive(fx, nullptr);
+
+  // Tie between a memo hit on cluster 2 and a scan of cluster 1: reset
+  // cluster 1 to the same membership (a fresh epoch, the same stats
+  // bits) so only cluster 2's entries still serve.
+  GainMemo memo;
+  memo.Configure(fx.data.matrix.rows(), fx.data.matrix.cols(),
+                 fx.views.size());
+  ExpectPrunedMatchesExhaustive(fx, &memo);
+  fx.views[1].Reset(fx.views[1].cluster());
+  fx.RescoreAll();
+  ASSERT_EQ(fx.scores[1], fx.scores[2]);
+  ExpectPrunedMatchesExhaustive(fx, &memo);
+  size_t ties = 0;
+  for (size_t i = 0; i < fx.data.matrix.rows(); ++i) {
+    if (ExhaustiveBestAction(true, i, fx).cluster == 1) ++ties;
+  }
+  EXPECT_GT(ties, 0u);  // the tie actually decides some rows
+}
+
+TEST(BestActionForTest, ZeroFloorSkipsOnlyDecisionsTheCallerDrops) {
+  for (ResidueNorm norm :
+       {ResidueNorm::kMeanAbsolute, ResidueNorm::kMeanSquared}) {
+    Fixture fx(120, 30, 61, norm);
+    fx.RelaxConstraints();
+    ExpectPrunedMatchesExhaustive(fx, nullptr, /*drop_nonpositive=*/true);
+    GainMemo memo;
+    memo.Configure(fx.data.matrix.rows(), fx.data.matrix.cols(),
+                   fx.views.size());
+    ExpectPrunedMatchesExhaustive(fx, &memo, true);
+    ExpectPrunedMatchesExhaustive(fx, &memo, true);
+  }
+}
+
+TEST(BestActionForTest, AuditModeAgreesAndLeavesScanCountsAlone) {
+  Fixture fx(120, 30, 67);
+  fx.RelaxConstraints();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  bool was_enabled = obs::MetricsRegistry::Enabled();
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::Counter* scanned =
+      registry.GetCounter("floc.gain_eval_entries_scanned");
+  size_t rows = fx.data.matrix.rows();
+  size_t total = rows + fx.data.matrix.cols();
+  auto sweep = [&](bool audit, std::vector<Action>* out) {
+    GainMemo memo;
+    memo.Configure(rows, fx.data.matrix.cols(), fx.views.size());
+    GainScratch scratch(fx.norm);
+    GainContext ctx = fx.Context(&memo, audit);
+    uint64_t before = scanned->Value();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t t = 0; t < total; ++t) {
+        bool is_row = t < rows;
+        out->push_back(
+            BestActionFor(is_row, is_row ? t : t - rows, ctx, scratch));
+      }
+    }
+    return scanned->Value() - before;
+  };
+  std::vector<Action> plain;
+  std::vector<Action> audited;
+  uint64_t plain_scanned = sweep(false, &plain);
+  uint64_t audited_scanned = sweep(true, &audited);
+  obs::MetricsRegistry::SetEnabled(was_enabled);
+  ExpectSameActions(plain, audited);
+  EXPECT_EQ(plain_scanned, audited_scanned);
+}
+
+TEST(BestActionForDeathTest, AuditCatchesACorruptedCachedBound) {
+  Fixture fx(60, 20, 71);
+  fx.RelaxConstraints();
+  GainMemo memo;
+  memo.Configure(fx.data.matrix.rows(), fx.data.matrix.cols(),
+                 fx.views.size());
+  GainScratch scratch(fx.norm);
+  GainContext ctx = fx.Context(&memo);
+  // Find a row whose decision left a cached bound behind, and raise that
+  // bound past the truth: without audit the corrupted entry is trusted.
+  for (size_t i = 0; i < fx.data.matrix.rows(); ++i) {
+    BestActionFor(true, i, ctx, scratch);
+    for (size_t c = 0; c < fx.views.size(); ++c) {
+      GainMemo::Entry* slot = memo.Slot(true, i, c);
+      if (slot->epoch != (fx.views[c].epoch() | GainMemo::kBoundTag)) continue;
+      slot->after_residue += 1.0;
+      GainContext audited = fx.Context(&memo, /*audit=*/true);
+      EXPECT_DEATH(BestActionFor(true, i, audited, scratch),
+                   "gain memo bound drift");
+      return;
+    }
+  }
+  FAIL() << "no decision was settled by a bound";
+}
+
+// A test-local ActionApplier::Apply with the exhaustive decision rule:
+// same acceptance policy, same RNG draws, same bookkeeping.
+std::vector<AppliedAction> ExhaustiveApply(const FlocConfig& config,
+                                           const std::vector<Action>& actions,
+                                           size_t iteration, Fixture& fx,
+                                           Rng& rng) {
+  std::vector<AppliedAction> applied;
+  ResidueEngine engine(config.norm);
+  for (const Action& planned : actions) {
+    bool is_row = planned.target == ActionTarget::kRow;
+    Action action = ExhaustiveBestAction(is_row, planned.index, fx);
+    if (action.blocked()) continue;
+    if (action.gain <= 0 && !config.perform_negative_actions) {
+      if (config.annealing_temperature <= 0) continue;
+      double temperature = config.annealing_temperature *
+                           std::pow(0.8, static_cast<double>(iteration));
+      if (temperature <= 0 ||
+          !rng.Bernoulli(std::exp(action.gain / temperature))) {
+        continue;
+      }
+    }
+    ClusterWorkspace& view = fx.views[action.cluster];
+    if (is_row) {
+      view.ToggleRow(action.index);
+      fx.tracker->OnRowToggled(fx.views, action.cluster, action.index);
+    } else {
+      view.ToggleCol(action.index);
+      fx.tracker->OnColToggled(fx.views, action.cluster, action.index);
+    }
+    applied.push_back({action.target, action.index, action.cluster});
+    fx.scores[action.cluster] = ObjectiveScore(
+        engine.Residue(view), view.stats().Volume(), config.target_residue);
+  }
+  return applied;
+}
+
+TEST(ActionApplierTest, FreshGainSweepMatchesExhaustiveRule) {
+  struct Variant {
+    const char* name;
+    ResidueNorm norm;
+    bool negatives;
+    double temperature;
+  };
+  for (const Variant& v :
+       {Variant{"greedy", ResidueNorm::kMeanAbsolute, false, 0.0},
+        Variant{"greedy-squared", ResidueNorm::kMeanSquared, false, 0.0},
+        Variant{"annealing", ResidueNorm::kMeanAbsolute, false, 0.5},
+        Variant{"annealing-squared", ResidueNorm::kMeanSquared, false, 2.0},
+        Variant{"paper", ResidueNorm::kMeanAbsolute, true, 0.0}}) {
+    FlocConfig config;
+    config.norm = v.norm;
+    config.target_residue = Fixture::kTarget;
+    config.perform_negative_actions = v.negatives;
+    config.annealing_temperature = v.temperature;
+    Fixture pruned(90, 24, 73, v.norm);
+    Fixture reference(90, 24, 73, v.norm);
+    pruned.RelaxConstraints();
+    reference.RelaxConstraints();
+    GainMemo memo;
+    memo.Configure(90, 24, pruned.views.size());
+    GainDeterminer determiner(v.norm, Fixture::kTarget, nullptr,
+                              engine::EngineConfig::kDefaultSerialCutoff,
+                              &memo);
+    std::vector<Action> actions =
+        determiner.Determine(pruned.data.matrix, pruned.views, pruned.scores,
+                             *pruned.tracker, nullptr);
+    std::vector<size_t> order(actions.size());
+    std::iota(order.begin(), order.end(), 0);
+
+    double score_sum = 0.0;
+    for (double s : pruned.scores) score_sum += s;
+    BestPrefixSelector selector(score_sum / pruned.scores.size());
+    Rng rng_pruned(11);
+    Rng rng_reference(11);
+    std::vector<AppliedAction> got =
+        ActionApplier(config, nullptr, nullptr, &memo)
+            .Apply(actions, order, /*iteration=*/1, pruned.views,
+                   pruned.scores, score_sum, *pruned.tracker, rng_pruned,
+                   selector);
+    std::vector<AppliedAction> want = ExhaustiveApply(
+        config, actions, /*iteration=*/1, reference, rng_reference);
+    ASSERT_EQ(got.size(), want.size()) << v.name;
+    EXPECT_GT(got.size(), 0u) << v.name;
+    for (size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(got[t].target, want[t].target) << v.name << " step " << t;
+      EXPECT_EQ(got[t].index, want[t].index) << v.name << " step " << t;
+      EXPECT_EQ(got[t].cluster, want[t].cluster) << v.name << " step " << t;
+    }
+    EXPECT_EQ(pruned.scores, reference.scores) << v.name;
+  }
 }
 
 TEST(ActionSchedulerTest, FixedOrderingIsIdentity) {

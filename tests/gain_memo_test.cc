@@ -8,6 +8,7 @@
 
 #include "src/core/cluster_workspace.h"
 #include "src/core/floc.h"
+#include "src/core/residue.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
 
@@ -185,6 +186,33 @@ TEST(GainMemoTest, AuditModeCrossChecksServedEntries) {
   FlocResult audited = Floc(config).Run(data.matrix);
   FlocConfig plain = Table2Config();
   ExpectSameClusters(audited, Floc(plain).Run(data.matrix));
+}
+
+// Audit mode also rescans every candidate the gain bound pruned and
+// checks it could not have won -- the exhaustive decision rule, checked
+// at every decision of the run -- across the norms and acceptance
+// policies the CLI cannot select.
+TEST(GainMemoTest, AuditModeCrossChecksPrunedCandidates) {
+  SyntheticDataset data = Table2SmallData();
+  struct Variant {
+    ResidueNorm norm;
+    bool negatives;
+    double temperature;
+  };
+  for (const Variant& v :
+       {Variant{ResidueNorm::kMeanSquared, false, 0.0},
+        Variant{ResidueNorm::kMeanAbsolute, false, 0.5},
+        Variant{ResidueNorm::kMeanSquared, false, 2.0},
+        Variant{ResidueNorm::kMeanSquared, true, 0.0}}) {
+    FlocConfig plain = Table2Config();
+    plain.norm = v.norm;
+    plain.perform_negative_actions = v.negatives;
+    plain.annealing_temperature = v.temperature;
+    FlocConfig audited = plain;
+    audited.audit = true;
+    ExpectSameClusters(Floc(audited).Run(data.matrix),
+                       Floc(plain).Run(data.matrix));
+  }
 }
 
 // The metrics-regression guard from the perf work: with memoization on,

@@ -113,6 +113,19 @@ TEST(MatrixIoTest, TriplesRoundTrip) {
   EXPECT_DOUBLE_EQ(back.Value(3, 0), 8.0);
 }
 
+TEST(MatrixIoTest, TriplesRoundTripBitExact) {
+  // Values the default 6-digit stream precision would round.
+  DataMatrix m(2, 2);
+  m.Set(0, 0, 1234567.5);
+  m.Set(1, 1, 0.123456789);
+  std::stringstream ss;
+  WriteTriples(m, ss);
+  DataMatrix back = ReadTriples(ss, 2, 2);
+  ASSERT_EQ(back.NumSpecified(), 2u);
+  EXPECT_EQ(back.Value(0, 0), 1234567.5);
+  EXPECT_EQ(back.Value(1, 1), 0.123456789);
+}
+
 TEST(MatrixIoTest, TriplesAcceptTabsAndExtraFields) {
   // The MovieLens u.data format: user \t item \t rating \t timestamp.
   std::stringstream ss("0\t1\t5\t887431973\n2\t0\t3\t875693118\n");

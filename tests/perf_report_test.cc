@@ -77,6 +77,10 @@ TEST_F(PerfReportTest, FlocRunAssemblesReportWhenMetricsOn) {
   EXPECT_GE(perf.gain_memo_hit_rate, 0.0);
   EXPECT_LE(perf.gain_memo_hit_rate, 1.0);
   EXPECT_GT(perf.dense_dispatch_rate, 0.0);
+  // The gain bound settles most memo misses without a scan.
+  EXPECT_GT(perf.gain_evals_pruned, 0u);
+  EXPECT_GT(perf.gain_prune_rate, 0.0);
+  EXPECT_LE(perf.gain_prune_rate, 1.0);
   // One latency observation per iteration.
   EXPECT_EQ(perf.iteration_latency.count, result.iterations);
   EXPECT_GT(perf.iteration_latency.p50, 0.0);
@@ -143,6 +147,8 @@ TEST_F(PerfReportTest, JsonIsWellFormedAndValidatesKeys) {
         "\"entries_scanned\"", "\"gain_evals_served\"",
         "\"gain_evals_recomputed\"", "\"entries_per_second\"",
         "\"dense_dispatch_rate\"", "\"gain_memo_hit_rate\"",
+        "\"gain_evals_pruned\"", "\"gain_apply_skipped\"",
+        "\"gain_prune_rate\"",
         "\"pool_sweeps\"", "\"pool_shards\"", "\"shard_imbalance\"",
         "\"iteration_latency\"", "\"wall_seconds\"", "\"share\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;

@@ -165,6 +165,14 @@ def summarize(path):
             print(f"  entries/s={doc.get('entries_per_second', 0.0):.4g} "
                   f"memo_hit={100.0 * doc.get('gain_memo_hit_rate', 0.0):.1f}% "
                   f"dense={100.0 * doc.get('dense_dispatch_rate', 0.0):.1f}%")
+            # Bound-and-prune counters (absent in older reports).
+            pruned = doc.get("gain_evals_pruned")
+            if pruned is not None:
+                print(f"  gain bound: "
+                      f"prune={100.0 * doc.get('gain_prune_rate', 0.0):.1f}% "
+                      f"of misses ({pruned} pruned), "
+                      f"{doc.get('gain_apply_skipped', 0)} apply "
+                      f"re-decisions skipped")
             # Pane/sweep reuse counters (absent in pre-PR10 reports).
             patches = doc.get("pane_patches")
             if patches is not None:
@@ -291,7 +299,7 @@ def diff_perf_reports(base, new):
         if base_total > 0.0 and abs(d) >= 0.02 * base_total:
             movers.append((name, d))
     for key in ("entries_per_second", "gain_memo_hit_rate",
-                "dense_dispatch_rate", "shard_imbalance",
+                "gain_prune_rate", "dense_dispatch_rate", "shard_imbalance",
                 "pane_patches", "pane_rebuilds", "pane_compactions",
                 "clusters_skipped_clean"):
         b, n = base.get(key), new.get(key)

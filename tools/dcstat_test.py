@@ -53,8 +53,10 @@ def perf_report(total, phase_walls):
         "total_cpu_seconds": total, "iterations": 10, "metrics_valid": True,
         "trace_valid": True, "phases": phases, "entries_scanned": 1000,
         "gain_evals_served": 50, "gain_evals_recomputed": 100,
+        "gain_evals_pruned": 300, "gain_apply_skipped": 7,
         "entries_per_second": 1000.0 / total if total else 0.0,
         "dense_dispatch_rate": 1.0, "gain_memo_hit_rate": 50.0 / 150.0,
+        "gain_prune_rate": 300.0 / 400.0,
         "pool_sweeps": 0, "pool_shards": 0,
         "shard_imbalance": {"p50": 0, "p90": 0, "p99": 0, "p999": 0,
                             "count": 0},
@@ -259,6 +261,8 @@ class SummaryTest(unittest.TestCase):
         for kind in ("bench", "perf_report", "telemetry", "trace",
                      "metrics"):
             self.assertIn(kind, stdout)
+        self.assertIn("prune=75.0% of misses (300 pruned)", stdout)
+        self.assertIn("7 apply re-decisions skipped", stdout)
 
     def test_session_status_digest(self):
         # The exact document shape the CLI's --session-status flag
