@@ -47,7 +47,7 @@ commands:
             [--refine N] [--reseed N] [--threads N] [--seed S]
             [--dedupe F] [--memoize 0|1] --out clusters.txt
             session control (see DESIGN.md, "The session layer"):
-            [--deadline-s S] [--max-iterations N] [--memo-budget-mb M]
+            [--deadline-s S] [--max-iterations N]
             [--checkpoint ckpt.dcs] [--resume ckpt.dcs]
             [--session-status[=status.json]]
             --deadline-s and --max-iterations bound the run by wall
@@ -57,12 +57,10 @@ commands:
             report. --checkpoint writes a resumable .dcs session
             snapshot when a budget stops the run; --resume continues
             one, and the resumed run's output is byte-identical to the
-            uninterrupted run's. --memo-budget-mb caps the gain memo's
-            resident bytes (0 = unbounded; eviction never changes
-            results). --session-status prints the final session status
-            as JSON (with =PATH, writes it; feed to tools/dcstat.py).
-            Environment defaults (flag wins): DELTACLUS_DEADLINE_S,
-            DELTACLUS_MAX_ITERATIONS, DELTACLUS_MEMO_BUDGET_MB,
+            uninterrupted run's. --session-status prints the final
+            session status as JSON (with =PATH, writes it; feed to
+            tools/dcstat.py). Environment defaults (flag wins):
+            DELTACLUS_DEADLINE_S, DELTACLUS_MAX_ITERATIONS,
             DELTACLUS_CHECKPOINT, DELTACLUS_RESUME.
             --memoize 0 disables the epoch-stamped gain memo (default
             on; results are identical either way, this is an ablation
@@ -361,7 +359,6 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   // default, all through the same checked parser. 0 means unbounded.
   double deadline_s = 0.0;
   double max_iterations = 0.0;
-  double memo_budget_mb = 0.0;
   if (int rc = ParseSizeFlag(flags, "deadline-s", "DELTACLUS_DEADLINE_S",
                              /*integer=*/false, 0.0, &deadline_s, err)) {
     return rc;
@@ -371,17 +368,8 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
                              /*integer=*/true, 0.0, &max_iterations, err)) {
     return rc;
   }
-  // Fractional megabytes are deliberate: test-sized matrices have memo
-  // tables far below 1 MiB, so meaningful budgets there are fractional.
-  if (int rc = ParseSizeFlag(flags, "memo-budget-mb",
-                             "DELTACLUS_MEMO_BUDGET_MB",
-                             /*integer=*/false, 0.0, &memo_budget_mb, err)) {
-    return rc;
-  }
   config.deadline_seconds = deadline_s;
   config.max_total_iterations = static_cast<size_t>(max_iterations);
-  config.memo_budget_bytes =
-      static_cast<size_t>(memo_budget_mb * 1024.0 * 1024.0);
   // Checkpoint/resume paths follow the same flag > env precedence.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* checkpoint_env = std::getenv("DELTACLUS_CHECKPOINT");

@@ -22,7 +22,10 @@ namespace deltaclus {
 
 std::vector<std::string> FlocConfig::Validate() const {
   std::vector<std::string> problems;
+  // Both predicates are false for NaN; neither admits an infinity, which
+  // none of the double knobs below gives a meaning.
   auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
+  auto non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
 
   if (num_clusters == 0) problems.push_back("num_clusters must be >= 1");
   if (!in_unit(seeding.row_probability)) {
@@ -31,13 +34,11 @@ std::vector<std::string> FlocConfig::Validate() const {
   if (!in_unit(seeding.col_probability)) {
     problems.push_back("seeding.col_probability must be in [0, 1]");
   }
-  if (seeding.mixed_volumes) {
-    if (seeding.volume_mean < 0) {
-      problems.push_back("seeding.volume_mean must be >= 0");
-    }
-    if (seeding.volume_variance < 0) {
-      problems.push_back("seeding.volume_variance must be >= 0");
-    }
+  if (!non_negative(seeding.volume_mean)) {
+    problems.push_back("seeding.volume_mean must be finite and >= 0");
+  }
+  if (!non_negative(seeding.volume_variance)) {
+    problems.push_back("seeding.volume_variance must be finite and >= 0");
   }
   if (!in_unit(constraints.alpha)) {
     problems.push_back("constraints.alpha must be in [0, 1]");
@@ -51,8 +52,8 @@ std::vector<std::string> FlocConfig::Validate() const {
   if (constraints.min_volume > constraints.max_volume) {
     problems.push_back("constraints.min_volume exceeds max_volume");
   }
-  if (constraints.max_overlap < 0) {
-    problems.push_back("constraints.max_overlap must be >= 0");
+  if (!non_negative(constraints.max_overlap)) {
+    problems.push_back("constraints.max_overlap must be finite and >= 0");
   }
   if (!in_unit(constraints.min_row_coverage)) {
     problems.push_back("constraints.min_row_coverage must be in [0, 1]");
@@ -60,19 +61,24 @@ std::vector<std::string> FlocConfig::Validate() const {
   if (!in_unit(constraints.min_col_coverage)) {
     problems.push_back("constraints.min_col_coverage must be in [0, 1]");
   }
-  if (target_residue < 0) problems.push_back("target_residue must be >= 0");
-  if (annealing_temperature < 0) {
-    problems.push_back("annealing_temperature must be >= 0");
+  if (!non_negative(target_residue)) {
+    problems.push_back("target_residue must be finite and >= 0");
   }
-  if (min_improvement < 0) problems.push_back("min_improvement must be >= 0");
-  if (relative_improvement < 0) {
-    problems.push_back("relative_improvement must be >= 0");
+  if (!non_negative(annealing_temperature)) {
+    problems.push_back("annealing_temperature must be finite and >= 0");
+  }
+  if (!non_negative(min_improvement)) {
+    problems.push_back("min_improvement must be finite and >= 0");
+  }
+  if (!non_negative(relative_improvement)) {
+    problems.push_back("relative_improvement must be finite and >= 0");
   }
   if (threads < 0) {
     problems.push_back("threads must be >= 0 (0 = hardware concurrency)");
   }
-  if (deadline_seconds < 0) {
-    problems.push_back("deadline_seconds must be >= 0 (0 = no deadline)");
+  if (!non_negative(deadline_seconds)) {
+    problems.push_back(
+        "deadline_seconds must be finite and >= 0 (0 = no deadline)");
   }
   return problems;
 }

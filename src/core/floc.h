@@ -196,15 +196,6 @@ struct FlocConfig {
   /// iterations, checkpoint, resume later.
   size_t max_total_iterations = 0;
 
-  /// Byte budget for the gain memo's entry table (0 = unbounded, the
-  /// pre-budget behaviour). Under a budget only a subset of clusters has
-  /// resident memo stripes -- re-picked each iteration by churn heat,
-  /// hottest evicted first (see GainMemo::Rebalance) -- and evaluations
-  /// against non-resident clusters recompute exactly as with memoization
-  /// off, so the budget trades cache hit rate for memory without ever
-  /// changing results. Only consulted when memoize_gains is true.
-  size_t memo_budget_bytes = 0;
-
   /// Optional cooperative cancellation token (non-owning; must outlive
   /// the run). May be fired from any thread; the run polls it at session
   /// step boundaries and at engine shard-claim boundaries, stopping with

@@ -28,7 +28,6 @@ struct FlocMetrics {
   obs::Counter* gain_pruned;
   obs::Counter* gain_apply_skipped;
   obs::Gauge* last_average_residue;
-  obs::Histogram* iteration_seconds;
   obs::QuantileHistogram* iteration_latency;
 
   static const FlocMetrics& Get() {
@@ -45,8 +44,6 @@ struct FlocMetrics {
           r.GetCounter("floc.gain.pruned"),
           r.GetCounter("floc.gain.apply_skipped"),
           r.GetGauge("floc.last.average_residue"),
-          r.GetHistogram("floc.iteration.seconds",
-                         {0.001, 0.01, 0.1, 1.0, 10.0}),
           r.GetQuantileHistogram("floc.iteration.latency",
                                  obs::LatencySecondsOptions()),
       };

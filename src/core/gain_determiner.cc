@@ -99,8 +99,6 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
                             : ctx.tracker->ColToggleAllowed(views, c, index);
       if (!allowed) continue;
     }
-    // Slot() is null for non-resident clusters under a memo byte budget;
-    // that path is identical to having no memo at all.
     GainMemo::Entry* slot =
         ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
     uint64_t epoch = views[c].epoch();

@@ -27,9 +27,7 @@ struct SessionMetrics {
   obs::Counter* steps;
   obs::Counter* checkpoints_written;
   obs::Counter* restores;
-  obs::Counter* memo_evictions;
   obs::Counter* constraints_disabled;
-  obs::Gauge* memo_resident_bytes;
 
   static const SessionMetrics& Get() {
     static const SessionMetrics m = [] {
@@ -38,9 +36,7 @@ struct SessionMetrics {
           r.GetCounter("floc.session.steps"),
           r.GetCounter("floc.session.checkpoints_written"),
           r.GetCounter("floc.session.restores"),
-          r.GetCounter("floc.session.memo_evictions"),
           r.GetCounter("floc.constraints.disabled"),
-          r.GetGauge("floc.session.memo_resident_bytes"),
       };
     }();
     return m;
@@ -102,8 +98,6 @@ void SessionStatus::WriteJson(std::ostream& out) const {
   w.Key("iterations").Uint(iterations);
   w.Key("best_average_score").Number(best_average_score);
   w.Key("memo_resident_bytes").Uint(memo_resident_bytes);
-  w.Key("memo_budget_bytes").Uint(memo_budget_bytes);
-  w.Key("memo_evictions").Uint(memo_evictions);
   w.Key("pane_bytes").Uint(pane_bytes);
   w.Key("elapsed_seconds").Number(elapsed_seconds);
   w.Key("done").Bool(done);
@@ -154,14 +148,7 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
   }
 
   if (memo_ != nullptr) {
-    gain_memo_.Configure(matrix.rows(), matrix.cols(), k_,
-                         config_.memo_budget_bytes);
-    if (config_.audit && config_.memo_budget_bytes > 0) {
-      DC_CHECK(gain_memo_.bytes() <= config_.memo_budget_bytes)
-          << "gain memo table (" << gain_memo_.bytes()
-          << " bytes) exceeds its budget (" << config_.memo_budget_bytes
-          << ")";
-    }
+    gain_memo_.Configure(matrix.rows(), matrix.cols(), k_);
   }
 
   views_.reserve(k_);
@@ -202,7 +189,6 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
   scores_.resize(k_);
   score_sum_ = RecomputeScores();
   SnapshotBest();
-  heat_.assign(k_, 0);
   // Conservative: construction (and a checkpoint restore below, which
   // overwrites stats with captured incremental bits) leaves stats whose
   // bit-equality with a canonical rebuild is unknown, so the first
@@ -240,7 +226,6 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
       saved_.push_back(ClusterFromMembers(matrix, m));
     }
     saved_scores_ = cp.saved_scores;
-    heat_ = cp.heat;
     // Overwrite the freshly built (canonical) stats with the captured
     // incremental bits, then recompute the scores from them: at every
     // step boundary the live scores are exactly RecomputeScores() over
@@ -336,25 +321,6 @@ void MiningSession::StepMove() {
   }
   DC_TRACE_SPAN("floc/move_phase");
   Stopwatch phase_watch;
-
-  // Budgeted memo residency: re-pick the resident stripes from last
-  // iteration's churn heat before the sweeps run (performance-only --
-  // entries are served on exact epoch match, so residency can never
-  // change which actions are chosen).
-  if (memo_ != nullptr && gain_memo_.budget_bytes() > 0) {
-    gain_memo_.Rebalance(heat_);
-    const SessionMetrics& sm = SessionMetrics::Get();
-    uint64_t evictions = gain_memo_.evictions();
-    sm.memo_evictions->Inc(evictions - memo_evictions_seen_);
-    memo_evictions_seen_ = evictions;
-    sm.memo_resident_bytes->Set(static_cast<double>(gain_memo_.bytes()));
-    if (config_.audit) {
-      DC_CHECK(gain_memo_.bytes() <= gain_memo_.budget_bytes())
-          << "gain memo table (" << gain_memo_.bytes()
-          << " bytes) exceeds its budget (" << gain_memo_.budget_bytes()
-          << ")";
-    }
-  }
 
   {
     DC_TRACE_SPAN("floc/iteration");
@@ -459,14 +425,6 @@ void MiningSession::StepMove() {
     double apply_seconds = apply_watch.ElapsedSeconds();
     collector_.run().apply_seconds += apply_seconds;
 
-    // Memo churn heat: exponential decay plus this sweep's applied
-    // toggles per cluster (a hot cluster invalidates its own stripe
-    // constantly, so under a budget it is the *worst* cache citizen).
-    if (memo_ != nullptr && gain_memo_.budget_bytes() > 0) {
-      for (uint64_t& h : heat_) h /= 2;
-      for (const AppliedAction& act : applied) ++heat_[act.cluster];
-    }
-
     double needed =
         std::max(config_.min_improvement,
                  config_.relative_improvement * std::abs(best_average_));
@@ -479,9 +437,7 @@ void MiningSession::StepMove() {
     {
       const FlocMetrics& m = FlocMetrics::Get();
       m.actions_applied->Inc(applied.size());
-      double iteration_seconds = iter_watch.ElapsedSeconds();
-      m.iteration_seconds->Observe(iteration_seconds);
-      m.iteration_latency->Observe(iteration_seconds);
+      m.iteration_latency->Observe(iter_watch.ElapsedSeconds());
     }
     if (itel != nullptr) {
       itel->apply_seconds = apply_seconds;
@@ -684,8 +640,6 @@ SessionStatus MiningSession::Status() const {
   s.iterations = result_.iterations;
   s.best_average_score = best_average_;
   s.memo_resident_bytes = gain_memo_.bytes();
-  s.memo_budget_bytes = gain_memo_.budget_bytes();
-  s.memo_evictions = gain_memo_.evictions();
   uint64_t pane_bytes = 0;
   for (const ClusterWorkspace& v : views_) pane_bytes += v.PaneBytes();
   s.pane_bytes = pane_bytes;
@@ -747,7 +701,6 @@ void MiningSession::Checkpoint(const std::string& path) const {
   cp.saved.reserve(saved_.size());
   for (const Cluster& c : saved_) cp.saved.push_back(MembersOf(c));
   cp.saved_scores = saved_scores_;
-  cp.heat = heat_;
   WriteSessionCheckpoint(cp, path);
   SessionMetrics::Get().checkpoints_written->Inc();
 }

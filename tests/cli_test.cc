@@ -253,6 +253,34 @@ TEST(CliTest, ThreadsEnvDefault) {
   EXPECT_EQ(sa.str(), sb.str());
 }
 
+TEST(CliTest, NonFiniteKnobsRejected) {
+  // FlocConfig::Validate rejects NaN, so these exit 2 before mining
+  // instead of stopping after one iteration with degenerate clusters.
+  std::string matrix_path = Tmp("nan_knobs.csv");
+  ASSERT_EQ(RunCliArgs({"generate", "--rows=40", "--cols=10", "--clusters=1",
+                        "--seed=3", "--out", matrix_path})
+                .exit_code,
+            0);
+  for (const char* flag : {"--target-residue=nan", "--max-overlap=nan",
+                           "--target-residue=inf"}) {
+    CliRun r = RunCliArgs({"mine", "--input", matrix_path, "--k=3", flag,
+                           "--out", Tmp("nan_knobs_out.txt")});
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    EXPECT_NE(r.err.find("must be finite"), std::string::npos)
+        << flag << ": " << r.err;
+  }
+}
+
+TEST(CliTest, MemoBudgetFlagRemoved) {
+  // The gain memo has no byte budget any more; a script that still
+  // passes the old flag fails loudly instead of mining without it.
+  CliRun r = RunCliArgs({"mine", "--input", Tmp("memo_budget.csv"), "--k=2",
+                         "--memo-budget-mb=1"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("unknown flag --memo-budget-mb"), std::string::npos)
+      << r.err;
+}
+
 TEST(CliTest, StatsRequiresFlags) {
   CliRun r = RunCliArgs({"stats"});
   EXPECT_EQ(r.exit_code, 1);

@@ -52,11 +52,10 @@ void ExpectSameClusters(const FlocResult& a, const FlocResult& b) {
 
 TEST(GainMemoTest, SlotsAreEntityMajorAndZeroInitialized) {
   GainMemo memo;
-  EXPECT_FALSE(memo.configured());
+  EXPECT_EQ(memo.bytes(), 0u);
   memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4);
-  EXPECT_TRUE(memo.configured());
-  // Unbounded: every cluster resident.
-  EXPECT_EQ(memo.resident_clusters(), 4u);
+  // One entry per (entity, cluster): (3 + 2) x 4.
+  EXPECT_EQ(memo.bytes(), 20 * sizeof(GainMemo::Entry));
   // Every slot starts at epoch 0, which can never match a live workspace
   // epoch (NextMembershipEpoch starts at 1).
   EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 0u);
@@ -70,55 +69,39 @@ TEST(GainMemoTest, SlotsAreEntityMajorAndZeroInitialized) {
   EXPECT_EQ(memo.Slot(false, 0, 1)->epoch, 43u);
   EXPECT_EQ(memo.Slot(true, 2, 0)->epoch, 0u);
   EXPECT_EQ(memo.Slot(true, 0, 1)->epoch, 0u);
+  // The last row's stripe ends right before the first column's.
+  EXPECT_EQ(memo.Slot(true, 2, 3) + 1, memo.Slot(false, 0, 0));
 
-  memo.Clear();
+  // Reconfiguring clears every entry.
+  memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4);
   EXPECT_EQ(memo.Slot(true, 2, 1)->epoch, 0u);
 }
 
-TEST(GainMemoTest, ByteBudgetLimitsResidencyAndRebalanceFollowsHeat) {
+TEST(GainMemoTest, EverySlotIsResidentAndDistinctForAnyShape) {
+  // No residency policy: every (entity, cluster) pair owns its own
+  // entry, at entities x clusters bytes, however many clusters there
+  // are, and reconfiguring to a new shape resizes the table.
   GainMemo memo;
-  // 3 + 2 = 5 entities; a stripe is 5 * sizeof(Entry) bytes. Budget two
-  // stripes exactly: clusters 0 and 1 resident, 2 and 3 not.
-  size_t stripe = 5 * sizeof(GainMemo::Entry);
-  memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4,
-                 /*budget_bytes=*/2 * stripe);
-  EXPECT_EQ(memo.resident_clusters(), 2u);
-  EXPECT_LE(memo.bytes(), memo.budget_bytes());
-  ASSERT_NE(memo.Slot(true, 0, 0), nullptr);
-  ASSERT_NE(memo.Slot(true, 0, 1), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 2), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 3), nullptr);
-
-  memo.Slot(true, 0, 0)->epoch = 7;
-  memo.Slot(true, 0, 1)->epoch = 9;
-
-  // Cluster 1 ran hot (many mutations), cluster 3 stayed cool: the
-  // rebalance keeps the two coolest clusters {0, 3}, evicting 1 and
-  // admitting 3 into the freed slot with a cleared stripe. Cluster 0's
-  // stripe survives untouched.
-  memo.Rebalance({/*c0=*/1, /*c1=*/50, /*c2=*/20, /*c3=*/0});
-  EXPECT_EQ(memo.evictions(), 1u);
-  ASSERT_NE(memo.Slot(true, 0, 0), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 7u);
-  EXPECT_EQ(memo.Slot(true, 0, 1), nullptr);
-  ASSERT_NE(memo.Slot(true, 0, 3), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 3)->epoch, 0u);
-  EXPECT_LE(memo.bytes(), memo.budget_bytes());
-
-  // A no-change rebalance (same resident set wins) evicts nothing.
-  memo.Rebalance({0, 50, 20, 1});
-  EXPECT_EQ(memo.evictions(), 1u);
-  EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 7u);
-}
-
-TEST(GainMemoTest, BudgetTooSmallForOneStripeDisablesTheTable) {
-  GainMemo memo;
-  memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4, /*budget_bytes=*/1);
-  EXPECT_EQ(memo.resident_clusters(), 0u);
-  EXPECT_FALSE(memo.configured());
-  EXPECT_EQ(memo.Slot(true, 0, 0), nullptr);
-  EXPECT_EQ(memo.bytes(), 0u);
-  memo.Rebalance({0, 0, 0, 0});  // No-op; must not crash.
+  for (size_t clusters : {size_t{64}, size_t{1}, size_t{7}}) {
+    memo.Configure(/*rows=*/3, /*cols=*/2, clusters);
+    EXPECT_EQ(memo.bytes(), 5 * clusters * sizeof(GainMemo::Entry));
+    GainMemo::Entry* first = memo.Slot(true, 0, 0);
+    size_t expected = 0;
+    for (bool is_row : {true, false}) {
+      for (size_t index = 0; index < (is_row ? 3u : 2u); ++index) {
+        for (size_t cluster = 0; cluster < clusters; ++cluster) {
+          GainMemo::Entry* slot = memo.Slot(is_row, index, cluster);
+          ASSERT_EQ(slot, first + expected) << clusters;
+          EXPECT_EQ(slot->epoch, 0u);
+          slot->epoch = expected + 1;
+          ++expected;
+        }
+      }
+    }
+    // Each write landed in its own entry.
+    EXPECT_EQ(memo.Slot(false, 1, clusters - 1)->epoch, expected);
+    EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 1u);
+  }
 }
 
 TEST(GainMemoTest, WorkspaceEpochAdvancesOnEveryMutation) {

@@ -24,14 +24,15 @@ TEST_F(MetricsTest, DisabledMutationsAreNoOps) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.counter");
   Gauge* g = registry.GetGauge("test.gauge");
-  Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0});
+  QuantileHistogram* q =
+      registry.GetQuantileHistogram("test.latency", LatencySecondsOptions());
   MetricsRegistry::SetEnabled(false);
   c->Inc();
   g->Set(5.0);
-  h->Observe(1.5);
+  q->Observe(1.5);
   EXPECT_EQ(c->Value(), 0u);
   EXPECT_EQ(g->Value(), 0.0);
-  EXPECT_EQ(h->Count(), 0u);
+  EXPECT_EQ(q->Count(), 0u);
 }
 
 TEST_F(MetricsTest, CounterAccumulatesWhenEnabled) {
@@ -55,21 +56,36 @@ TEST_F(MetricsTest, GaugeKeepsLastWrite) {
 }
 
 TEST_F(MetricsTest, HistogramBucketsByUpperBound) {
+  // A registered quantile histogram buckets [min_value, max_value] with
+  // both ends inclusive; values past either end land in the underflow
+  // and overflow cells and still count toward count and sum.
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.hist", {0.1, 1.0, 10.0});
+  QuantileHistogramOptions options;
+  options.min_value = 0.1;
+  options.max_value = 10.0;
+  options.relative_error = 0.01;
+  QuantileHistogram* q = registry.GetQuantileHistogram("test.hist", options);
   MetricsRegistry::SetEnabled(true);
-  h->Observe(0.05);   // bucket 0 (<= 0.1)
-  h->Observe(0.1);    // bucket 0 (inclusive upper bound)
-  h->Observe(0.5);    // bucket 1
-  h->Observe(100.0);  // overflow bucket
-  EXPECT_EQ(h->Count(), 4u);
-  EXPECT_DOUBLE_EQ(h->Sum(), 100.65);
-  std::vector<uint64_t> buckets = h->BucketCounts();
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 1u);
-  EXPECT_EQ(buckets[2], 0u);
-  EXPECT_EQ(buckets[3], 1u);
+  q->Observe(0.05);   // underflow (< min_value)
+  q->Observe(0.1);    // first bucket (inclusive lower bound)
+  q->Observe(10.0);   // last bucket (inclusive upper bound)
+  q->Observe(100.0);  // overflow
+  QuantileHistogramSnapshot snap = q->Snapshot();
+  EXPECT_EQ(snap.count, 4u);
+  EXPECT_DOUBLE_EQ(snap.sum, 110.15);
+  EXPECT_EQ(snap.underflow, 1u);
+  EXPECT_EQ(snap.overflow, 1u);
+  ASSERT_EQ(snap.buckets.size(), q->num_buckets());
+  ASSERT_GE(snap.buckets.size(), 2u);
+  EXPECT_EQ(snap.buckets.front(), 1u);
+  uint64_t in_range = 0;
+  for (uint64_t b : snap.buckets) in_range += b;
+  EXPECT_EQ(in_range, 2u);
+  // Ranks 2 and 3 are the two bounds themselves, read back in range
+  // (relative_error plus floating-point headroom).
+  double tolerance = options.relative_error + 1e-9;
+  EXPECT_NEAR(snap.ValueAtQuantile(0.5), 0.1, 0.1 * tolerance);
+  EXPECT_NEAR(snap.ValueAtQuantile(0.75), 10.0, 10.0 * tolerance);
 }
 
 TEST_F(MetricsTest, RegistrationReturnsStablePointers) {
@@ -102,15 +118,16 @@ TEST_F(MetricsTest, ResetAllZeroesButKeepsRegistrations) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.counter");
   Gauge* g = registry.GetGauge("test.gauge");
-  Histogram* h = registry.GetHistogram("test.hist", {1.0});
+  QuantileHistogram* q =
+      registry.GetQuantileHistogram("test.latency", LatencySecondsOptions());
   MetricsRegistry::SetEnabled(true);
   c->Inc(3);
   g->Set(9.0);
-  h->Observe(0.5);
+  q->Observe(0.5);
   registry.ResetAll();
   EXPECT_EQ(c->Value(), 0u);
   EXPECT_EQ(g->Value(), 0.0);
-  EXPECT_EQ(h->Count(), 0u);
+  EXPECT_EQ(q->Count(), 0u);
   EXPECT_EQ(registry.GetCounter("test.counter"), c);
 }
 
@@ -119,50 +136,59 @@ TEST_F(MetricsTest, JsonSnapshotHasSortedSections) {
   MetricsRegistry::SetEnabled(true);
   registry.GetCounter("z.second")->Inc(2);
   registry.GetCounter("a.first")->Inc(1);
-  registry.GetGauge("g")->Set(1.5);
-  registry.GetHistogram("h", {1.0})->Observe(0.5);
+  registry.GetGauge("z.gauge")->Set(2.5);
+  registry.GetGauge("a.gauge")->Set(1.5);
   std::string json = registry.SnapshotJson();
   EXPECT_EQ(json,
             "{\"counters\":{\"a.first\":1,\"z.second\":2},"
-            "\"gauges\":{\"g\":1.5},"
-            "\"histograms\":{\"h\":{\"bounds\":[1],\"counts\":[1,0],"
-            "\"count\":1,\"sum\":0.5,\"invalid\":0}}}\n");
+            "\"gauges\":{\"a.gauge\":1.5,\"z.gauge\":2.5}}\n");
+  // Quantile histograms follow in their own section, also name-sorted.
+  registry.GetQuantileHistogram("z.latency", LatencySecondsOptions());
+  registry.GetQuantileHistogram("a.latency", LatencySecondsOptions());
+  json = registry.SnapshotJson();
+  size_t section = json.find("\"quantile_histograms\":{\"a.latency\":");
+  ASSERT_NE(section, std::string::npos);
+  EXPECT_NE(json.find("\"z.latency\":", section), std::string::npos);
 }
 
 TEST_F(MetricsTest, HistogramRejectsNonFiniteObservations) {
-  // Regression: NaN used to land in bucket 0 (NaN comparisons are false,
-  // so lower_bound stopped at the first bound) and NaN/Inf poisoned the
-  // running sum. Non-finite values now count as invalid and touch
-  // nothing else.
+  // Non-finite values count as invalid and touch neither the cells nor
+  // the running sum, so one NaN cannot poison a run's exported latency.
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.hist", {1.0, 10.0});
+  QuantileHistogram* q =
+      registry.GetQuantileHistogram("test.hist", LatencySecondsOptions());
   MetricsRegistry::SetEnabled(true);
-  h->Observe(std::numeric_limits<double>::quiet_NaN());
-  h->Observe(std::numeric_limits<double>::infinity());
-  h->Observe(-std::numeric_limits<double>::infinity());
-  h->Observe(0.5);
-  EXPECT_EQ(h->Count(), 1u);
-  EXPECT_DOUBLE_EQ(h->Sum(), 0.5);
-  EXPECT_EQ(h->InvalidCount(), 3u);
-  std::vector<uint64_t> buckets = h->BucketCounts();
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_EQ(buckets[0], 1u);
-  EXPECT_EQ(buckets[1], 0u);
-  EXPECT_EQ(buckets[2], 0u);  // +Inf must not hit the overflow bucket
-  h->Reset();
-  EXPECT_EQ(h->InvalidCount(), 0u);
+  q->Observe(std::numeric_limits<double>::quiet_NaN());
+  q->Observe(std::numeric_limits<double>::infinity());
+  q->Observe(-std::numeric_limits<double>::infinity());
+  q->Observe(0.5);
+  EXPECT_EQ(q->Count(), 1u);
+  EXPECT_DOUBLE_EQ(q->Sum(), 0.5);
+  EXPECT_EQ(q->InvalidCount(), 3u);
+  QuantileHistogramSnapshot snap = q->Snapshot();
+  EXPECT_EQ(snap.underflow, 0u);
+  EXPECT_EQ(snap.overflow, 0u);  // +Inf must not hit the overflow cell
+  EXPECT_EQ(snap.invalid, 3u);
+  EXPECT_NE(registry.SnapshotJson().find("\"invalid\":3"), std::string::npos);
+  registry.ResetAll();
+  EXPECT_EQ(q->InvalidCount(), 0u);
 }
 
 TEST_F(MetricsTest, ValuesAboveTopBoundLandInOverflowBucket) {
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.hist", {1.0});
+  QuantileHistogram* q =
+      registry.GetQuantileHistogram("test.hist", LatencySecondsOptions());
   MetricsRegistry::SetEnabled(true);
-  h->Observe(1e300);
-  EXPECT_EQ(h->Count(), 1u);
-  std::vector<uint64_t> buckets = h->BucketCounts();
-  ASSERT_EQ(buckets.size(), 2u);
-  EXPECT_EQ(buckets[1], 1u);
-  EXPECT_EQ(h->InvalidCount(), 0u);
+  q->Observe(1e300);
+  EXPECT_EQ(q->Count(), 1u);
+  EXPECT_EQ(q->InvalidCount(), 0u);
+  QuantileHistogramSnapshot snap = q->Snapshot();
+  EXPECT_EQ(snap.overflow, 1u);
+  uint64_t in_range = 0;
+  for (uint64_t b : snap.buckets) in_range += b;
+  EXPECT_EQ(in_range, 0u);
+  // Quantiles of overflowed data clamp to max_value.
+  EXPECT_EQ(snap.ValueAtQuantile(0.5), LatencySecondsOptions().max_value);
 }
 
 TEST_F(MetricsTest, PrometheusExpositionFormat) {
@@ -170,9 +196,10 @@ TEST_F(MetricsTest, PrometheusExpositionFormat) {
   MetricsRegistry::SetEnabled(true);
   registry.GetCounter("floc.actions_applied")->Inc(5);
   registry.GetGauge("g")->Set(1.5);
-  Histogram* h = registry.GetHistogram("lat.seconds", {1.0, 10.0});
-  h->Observe(0.5);
-  h->Observe(100.0);
+  QuantileHistogram* q =
+      registry.GetQuantileHistogram("lat.seconds", LatencySecondsOptions());
+  q->Observe(0.5);
+  q->Observe(100.0);
   std::ostringstream out;
   registry.WriteExposition(out);
   std::string text = out.str();
@@ -181,13 +208,15 @@ TEST_F(MetricsTest, PrometheusExpositionFormat) {
                       "floc_actions_applied 5\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE g gauge\ng 1.5\n"), std::string::npos);
-  // Histogram buckets are cumulative and end with +Inf, sum, count.
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"10\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 2"),
+  // Sections follow in counter, gauge, summary order; a summary ends
+  // with its sum and count.
+  size_t gauge = text.find("# TYPE g gauge");
+  size_t summary = text.find("# TYPE lat_seconds summary\n");
+  ASSERT_NE(summary, std::string::npos);
+  EXPECT_LT(text.find("# TYPE floc_actions_applied counter"), gauge);
+  EXPECT_LT(gauge, summary);
+  EXPECT_NE(text.find("lat_seconds_sum 100.5\nlat_seconds_count 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_count 2"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_sum 100.5"), std::string::npos);
 }
 
 TEST_F(MetricsTest, QuantileHistogramsExportAsSummaries) {

@@ -12,8 +12,6 @@
 //     the telemetry and the perf report, and stopped sessions keep
 //     their machine position so checkpoint+resume continues exactly
 //     where the budget cut in;
-//   * a size-budgeted gain memo never exceeds its byte budget (audit
-//     mode DC_CHECKs it) and eviction never changes mined results;
 //   * every corrupted, truncated, or mismatched .dcs checkpoint is
 //     rejected with an exception naming the defect (mirroring the .dcm
 //     rejection suite in tests/storage_test.cc);
@@ -24,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -345,41 +344,6 @@ TEST(SessionTest, AsynchronousCancelResumesIdentically) {
   }
 }
 
-// -- Memo budget -------------------------------------------------------
-
-TEST(SessionTest, MemoBudgetNeverChangesResultsAndStaysUnderBudget) {
-  SyntheticDataset data = MakeData(17, 0.2);
-  FlocConfig config = MakeConfig();
-  FlocResult reference = Floc(config).Run(data.matrix);
-
-  // First discover the unbounded working-set size.
-  uint64_t full_bytes = 0;
-  {
-    Floc floc(config);
-    std::unique_ptr<MiningSession> session = floc.StartSession(data.matrix);
-    while (session->Step()) {
-      full_bytes = std::max(full_bytes, session->Status().memo_resident_bytes);
-    }
-    ExpectSameResult(reference, session->Finish(), "unbounded");
-  }
-  ASSERT_GT(full_bytes, 0u);
-
-  for (uint64_t budget : {full_bytes / 2, full_bytes / 10}) {
-    FlocConfig budgeted = config;
-    budgeted.memo_budget_bytes = budget;
-    budgeted.audit = true;  // DC_CHECKs the byte ledger every rebalance.
-    Floc floc(budgeted);
-    std::unique_ptr<MiningSession> session = floc.StartSession(data.matrix);
-    while (session->Step()) {
-      SessionStatus status = session->Status();
-      EXPECT_LE(status.memo_resident_bytes, budget);
-      EXPECT_EQ(status.memo_budget_bytes, budget);
-    }
-    ExpectSameResult(reference, session->Finish(),
-                     "budget=" + std::to_string(budget));
-  }
-}
-
 // -- SessionStatus -----------------------------------------------------
 
 TEST(SessionTest, StatusSnapshotsProgressAndSerializesAsJson) {
@@ -498,6 +462,10 @@ TEST_F(SessionRejectTest, ValidCheckpointRoundTrips) {
   EXPECT_EQ(cp.cols, data_->matrix.cols());
   EXPECT_EQ(cp.current.size(), 3u);
   EXPECT_TRUE(session::LooksLikeDcsFile(*valid_path_));
+  // Decode -> encode reproduces the file byte for byte.
+  std::string path = TempPath("session_rewritten.dcs");
+  WriteSessionCheckpoint(cp, path);
+  EXPECT_EQ(ReadAllBytes(path), ReadAllBytes(*valid_path_));
 }
 
 TEST_F(SessionRejectTest, TruncatedHeaderRejected) {
@@ -518,11 +486,18 @@ TEST_F(SessionRejectTest, BadMagicRejected) {
 }
 
 TEST_F(SessionRejectTest, VersionMismatchRejected) {
-  std::vector<char> bytes = ReadAllBytes(*valid_path_);
-  bytes[4] = 99;
-  std::string path = TempPath("session_bad_version.dcs");
-  WriteAllBytes(path, bytes);
-  ExpectRejects(path, "version mismatch");
+  // Version 1 also carried a per-cluster memo heat section, which the
+  // reader no longer parses.
+  ASSERT_EQ(session::kDcsVersion, 2u);
+  for (uint32_t version : {99u, 1u}) {
+    std::vector<char> bytes = ReadAllBytes(*valid_path_);
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    std::string path =
+        TempPath("session_version_" + std::to_string(version) + ".dcs");
+    WriteAllBytes(path, bytes);
+    ExpectRejects(path, "version mismatch (file has version " +
+                            std::to_string(version));
+  }
 }
 
 TEST_F(SessionRejectTest, EndiannessMismatchRejected) {
@@ -598,13 +573,6 @@ TEST_F(SessionRejectTest, PendingRestoreWithoutSlotsRejected) {
       "pending restore with no reseeded slots");
 }
 
-TEST_F(SessionRejectTest, HeatLengthMismatchRejected) {
-  ExpectStructuralReject(
-      "session_bad_heat.dcs",
-      [](SessionCheckpoint* cp) { cp->heat.pop_back(); },
-      "heat array length");
-}
-
 TEST_F(SessionRejectTest, MemberIdOutOfBoundsRejected) {
   ExpectStructuralReject(
       "session_bad_id.dcs",
@@ -678,12 +646,13 @@ TEST_F(SessionRejectTest, ResumeRejectsConfigFingerprintMismatch) {
 }
 
 TEST_F(SessionRejectTest, ResumeAcceptsResultNeutralConfigChanges) {
-  // Threads, budgets, audit, telemetry may all change across a resume.
+  // Threads, budgets, audit, memoization, telemetry may all change
+  // across a resume.
   FlocConfig other = MakeConfig();
   other.threads = 8;
   other.audit = true;
   other.deadline_seconds = 3600.0;
-  other.memo_budget_bytes = 1 << 20;
+  other.memoize_gains = false;
   Floc floc(other);
   std::unique_ptr<MiningSession> session =
       floc.ResumeSession(data_->matrix, *valid_path_);

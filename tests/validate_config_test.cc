@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/core/floc.h"
 
 namespace deltaclus {
@@ -97,6 +102,72 @@ TEST(ValidateConfigTest, MixedSeedingValidated) {
   config.seeding.volume_mean = 100.0;
   config.seeding.volume_variance = -5.0;
   EXPECT_FALSE(config.Validate().empty());
+}
+
+// One case per double knob: NaN and both infinities are rejected (every
+// Validate() comparison used to be `x < 0`, which NaN passes), and the
+// problem names the field; a representative finite value is accepted.
+TEST(ValidateConfigTest, NonFiniteDoublesRejectedPerField) {
+  struct Case {
+    std::string field;
+    std::function<double&(FlocConfig&)> knob;
+    double valid;
+  };
+  const std::vector<Case> cases = {
+      {"seeding.row_probability",
+       [](FlocConfig& c) -> double& { return c.seeding.row_probability; },
+       0.5},
+      {"seeding.col_probability",
+       [](FlocConfig& c) -> double& { return c.seeding.col_probability; },
+       0.5},
+      {"seeding.volume_mean",
+       [](FlocConfig& c) -> double& { return c.seeding.volume_mean; },
+       100.0},
+      {"seeding.volume_variance",
+       [](FlocConfig& c) -> double& { return c.seeding.volume_variance; },
+       10.0},
+      {"constraints.alpha",
+       [](FlocConfig& c) -> double& { return c.constraints.alpha; }, 0.5},
+      {"constraints.max_overlap",
+       [](FlocConfig& c) -> double& { return c.constraints.max_overlap; },
+       0.25},
+      {"constraints.min_row_coverage",
+       [](FlocConfig& c) -> double& {
+         return c.constraints.min_row_coverage;
+       },
+       0.5},
+      {"constraints.min_col_coverage",
+       [](FlocConfig& c) -> double& {
+         return c.constraints.min_col_coverage;
+       },
+       0.5},
+      {"target_residue",
+       [](FlocConfig& c) -> double& { return c.target_residue; }, 1.0},
+      {"min_improvement",
+       [](FlocConfig& c) -> double& { return c.min_improvement; }, 1e-6},
+      {"relative_improvement",
+       [](FlocConfig& c) -> double& { return c.relative_improvement; },
+       0.01},
+      {"annealing_temperature",
+       [](FlocConfig& c) -> double& { return c.annealing_temperature; },
+       2.0},
+      {"deadline_seconds",
+       [](FlocConfig& c) -> double& { return c.deadline_seconds; }, 30.0},
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Case& c : cases) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+      FlocConfig config;
+      c.knob(config) = bad;
+      std::vector<std::string> problems = config.Validate();
+      ASSERT_EQ(problems.size(), 1u) << c.field << " = " << bad;
+      EXPECT_NE(problems[0].find(c.field), std::string::npos) << problems[0];
+      EXPECT_THROW(Floc{config}, std::invalid_argument) << c.field;
+    }
+    FlocConfig config;
+    c.knob(config) = c.valid;
+    EXPECT_TRUE(config.Validate().empty()) << c.field << " = " << c.valid;
+  }
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ def load_artifact(path):
             return "perf_report", doc
         if "results" in doc and "name" in doc:
             return "bench", doc
-        if "counters" in doc or "histograms" in doc:
+        if "counters" in doc or "quantile_histograms" in doc:
             return "metrics", doc
         if "event" in doc:
             return "telemetry", [doc]
@@ -198,8 +198,7 @@ def summarize(path):
         print(f"  {len(spans)} spans on {len(tids)} thread(s), "
               f"{dur / 1e6:.4g} s at depth 0")
     elif kind == "metrics":
-        for section in ("counters", "gauges", "histograms",
-                        "quantile_histograms"):
+        for section in ("counters", "gauges", "quantile_histograms"):
             if doc.get(section):
                 print(f"  {section}: {len(doc[section])}")
     elif kind == "session_status":
@@ -209,11 +208,7 @@ def summarize(path):
               f"stopped={stopped} done={doc.get('done')}")
         print(f"  best_average_score={doc.get('best_average_score', 0.0):.4g} "
               f"elapsed={doc.get('elapsed_seconds', 0.0):.4g}s")
-        budget = doc.get("memo_budget_bytes", 0)
-        budget_text = f"{budget}B" if budget else "unbounded"
-        print(f"  memo: resident={doc.get('memo_resident_bytes', 0)}B "
-              f"budget={budget_text} "
-              f"evictions={doc.get('memo_evictions', 0)}; "
+        print(f"  memo: resident={doc.get('memo_resident_bytes', 0)}B; "
               f"panes={doc.get('pane_bytes', 0)}B")
     return 0
 
