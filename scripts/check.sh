@@ -128,8 +128,12 @@ stage_audit() {
     cmake --build --preset default -j "$JOBS"
     tree=build
   fi
+  # Every suite that drives the gain evaluator, the memo or a session.
+  local suites='Floc|PropertySweep|Integration|EdgeCase|ClusterWorkspace'
+  suites+='|GainMemoTest|SessionTest|BestActionFor|GainDeterminerTest'
+  suites+='|ActionApplierTest|RefineCandidatesTest'
   if (cd "$tree" && DELTACLUS_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-        -R 'Floc|PropertySweep|Integration|EdgeCase|ClusterWorkspace'); then
+        -R "$suites"); then
     echo "audit: no invariant violations"
   else
     fail "FLOC invariant audit tripped"

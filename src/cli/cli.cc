@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "src/core/cluster_tools.h"
@@ -280,7 +281,13 @@ int CmdGenerate(FlagParser& flags, std::ostream& out, std::ostream& err) {
     config.volume_mean = flags.DoubleOr("volume-mean", 0.0);
     config.volume_variance = flags.DoubleOr("volume-variance", 0.0);
     config.seed = seed;
-    SyntheticDataset data = GenerateSynthetic(config);
+    SyntheticDataset data;
+    try {
+      data = GenerateSynthetic(config);
+    } catch (const std::invalid_argument& e) {
+      err << "error: " << e.what() << "\n";
+      return 2;
+    }
     matrix = std::move(data.matrix);
     truth = std::move(data.embedded);
   } else if (kind == "movielens") {
@@ -427,6 +434,12 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   if (int rc = ResolveBackend(flags, err, &backend)) return rc;
   if (int rc = ResolveSimd(flags, err)) return rc;
   if (int rc = FinishFlags(flags, err)) return rc;
+  // `dedupe < 1.0` is false for NaN, which would skip deduplication
+  // without a word.
+  if (!std::isfinite(dedupe)) {
+    err << "error: dedupe must be finite\n";
+    return 2;
+  }
 
   // Path preflights, before any mining work starts.
   if (int rc = RequireReadable("input", *input, err)) return rc;

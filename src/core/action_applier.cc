@@ -4,6 +4,22 @@
 
 namespace deltaclus {
 
+double CommitToggle(const Action& action, std::vector<ClusterWorkspace>& views,
+                    ConstraintTracker& tracker, ResidueEngine& engine,
+                    double target_residue, ToggleHook hook, void* hook_self) {
+  ClusterWorkspace& view = views[action.cluster];
+  if (action.target == ActionTarget::kRow) {
+    view.ToggleRow(action.index);
+    tracker.OnRowToggled(views, action.cluster, action.index);
+  } else {
+    view.ToggleCol(action.index);
+    tracker.OnColToggled(views, action.cluster, action.index);
+  }
+  if (hook != nullptr) hook(hook_self, view);
+  return ObjectiveScore(engine.Residue(view), view.stats().Volume(),
+                        target_residue);
+}
+
 std::vector<AppliedAction> ActionApplier::Apply(
     const std::vector<Action>& actions, const std::vector<size_t>& order,
     size_t iteration, std::vector<ClusterWorkspace>& views,
@@ -11,13 +27,13 @@ std::vector<AppliedAction> ActionApplier::Apply(
     Rng& rng, BestPrefixSelector& selector) const {
   const FlocConfig& config = *config_;
   size_t k = views.size();
-  GainScratch scratch(config.norm);
   // Greedy mode drops every non-positive action below, so re-decisions
   // whose gain bounds are all <= 0 settle without a scan.
   bool drop_nonpositive = !config.perform_negative_actions &&
                           config.annealing_temperature <= 0;
-  GainContext ctx{&views,  &scores, &tracker,       config.target_residue,
-                  nullptr, memo_,   config.audit, drop_nonpositive};
+  GainEvaluator eval({&views, &scores, &tracker, config.target_residue,
+                      nullptr, memo_, config.audit, drop_nonpositive},
+                     config.norm);
 
   std::vector<AppliedAction> applied;
   applied.reserve(actions.size());
@@ -40,7 +56,7 @@ std::vector<AppliedAction> ActionApplier::Apply(
     if (config.fresh_gains_at_apply) {
       // Re-decide this row/column's best action against the current
       // state: earlier actions in the sweep have already moved it.
-      action = BestActionFor(is_row, action.index, ctx, scratch);
+      action = BestActionFor(is_row, action.index, eval);
       if (action.blocked()) continue;
       if (action.gain <= 0 && !accept_negative(action.gain)) continue;
     } else {
@@ -55,20 +71,10 @@ std::vector<AppliedAction> ActionApplier::Apply(
       if (!allowed) continue;
     }
 
-    ClusterWorkspace& view = views[action.cluster];
-    if (is_row) {
-      view.ToggleRow(action.index);
-      tracker.OnRowToggled(views, action.cluster, action.index);
-    } else {
-      view.ToggleCol(action.index);
-      tracker.OnColToggled(views, action.cluster, action.index);
-    }
-    if (after_toggle_ != nullptr) after_toggle_(hook_self_, view);
+    double new_score = CommitToggle(action, views, tracker, eval.engine(),
+                                    config.target_residue, after_toggle_,
+                                    hook_self_);
     applied.push_back({action.target, action.index, action.cluster});
-
-    double new_score = ObjectiveScore(scratch.engine.Residue(view),
-                                      view.stats().Volume(),
-                                      config.target_residue);
     score_sum += new_score - scores[action.cluster];
     scores[action.cluster] = new_score;
 

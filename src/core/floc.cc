@@ -16,7 +16,6 @@
 #include "src/core/floc_phases.h"
 #include "src/engine/thread_pool.h"
 #include "src/obs/trace.h"
-#include "src/util/check.h"
 
 namespace deltaclus {
 
@@ -134,105 +133,40 @@ void Floc::MaybeAudit(const ClusterWorkspace& ws, const char* context) const {
                         audit_check_occupancy_);
 }
 
-double Floc::ClusterScore(double residue, size_t volume) const {
-  return ObjectiveScore(residue, volume, config_.target_residue);
-}
-
-size_t Floc::RefineSweep(const DataMatrix& matrix,
-                         std::vector<ClusterWorkspace>& views,
+size_t Floc::RefineSweep(std::vector<ClusterWorkspace>& views,
                          std::vector<double>& scores,
                          ConstraintTracker& tracker) {
   DC_TRACE_SPAN("floc/refine_sweep");
-  size_t num_rows = matrix.rows();
-  size_t num_cols = matrix.cols();
-  ResidueEngine engine(config_.norm);
-  size_t applied = 0;
-
-  struct Candidate {
-    double gain;
-    ActionTarget target;
-    size_t index;
+  GainEvaluator eval({&views, &scores, &tracker, config_.target_residue,
+                      nullptr, nullptr, config_.audit},
+                     config_.norm);
+  ToggleHook audit = [](void* self, const ClusterWorkspace& ws) {
+    static_cast<const Floc*>(self)->MaybeAudit(ws, "RefineSweep");
   };
-
-  uint64_t pruned = 0;
+  size_t applied = 0;
+  std::vector<Action> candidates;
   for (size_t c = 0; c < views.size(); ++c) {
-    // Rank every candidate toggle for this cluster by its score gain,
-    // scanning only those whose gain bound clears min_improvement...
-    std::vector<Candidate> candidates;
-    candidates.reserve(num_rows + num_cols);
-    auto consider = [&](ActionTarget target, size_t index) {
-      bool is_row = target == ActionTarget::kRow;
-      size_t new_volume = 0;
-      double lower =
-          is_row ? engine.ResidueLowerBoundAfterToggleRow(views[c], index,
-                                                          &new_volume)
-                 : engine.ResidueLowerBoundAfterToggleCol(views[c], index,
-                                                          &new_volume);
-      double bound = scores[c] - ClusterScore(lower, new_volume);
-      bool prune = bound <= config_.min_improvement;
-      if (prune) ++pruned;
-      if (prune && !config_.audit) return;
-      auto after = [&](const auto& cluster_view) {
-        return is_row ? engine.ResidueAfterToggleRow(cluster_view, index,
-                                                     &new_volume)
-                      : engine.ResidueAfterToggleCol(cluster_view, index,
-                                                     &new_volume);
-      };
-      // Audit rescans pruned candidates on the uncounted, bit-identical
-      // gather path, as BestActionFor does.
-      double r = prune ? after(views[c].view()) : after(views[c]);
-      double gain = scores[c] - ClusterScore(r, new_volume);
-      if (config_.audit) {
-        DC_CHECK(gain <= bound)
-            << "refine gain bound violated at ("
-            << (is_row ? "row " : "col ") << index << ", cluster " << c
-            << "): gain " << gain << " > bound " << bound;
-      }
-      if (gain > config_.min_improvement) {
-        candidates.push_back({gain, target, index});
-      }
-    };
-    for (size_t i = 0; i < num_rows; ++i) {
-      if (tracker.RowToggleAllowed(views, c, i)) consider(ActionTarget::kRow, i);
-    }
-    for (size_t j = 0; j < num_cols; ++j) {
-      if (tracker.ColToggleAllowed(views, c, j)) consider(ActionTarget::kCol, j);
-    }
+    // Rank every candidate toggle for this cluster by its score gain...
+    RefineCandidates(c, config_.min_improvement, eval, &candidates);
     std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.gain > b.gain;
-              });
+              [](const Action& a, const Action& b) { return a.gain > b.gain; });
 
     // ...then apply them best-first, re-validating each against the
     // cluster's current state (earlier toggles shift later gains).
-    for (const Candidate& cand : candidates) {
+    for (const Action& cand : candidates) {
       bool is_row = cand.target == ActionTarget::kRow;
       bool allowed = is_row ? tracker.RowToggleAllowed(views, c, cand.index)
                             : tracker.ColToggleAllowed(views, c, cand.index);
-      if (!allowed) continue;
-      size_t new_volume = 0;
-      double r = is_row
-                     ? engine.ResidueAfterToggleRow(views[c], cand.index,
-                                                    &new_volume)
-                     : engine.ResidueAfterToggleCol(views[c], cand.index,
-                                                    &new_volume);
-      double fresh_gain = scores[c] - ClusterScore(r, new_volume);
-      if (fresh_gain <= config_.min_improvement) continue;
-      if (is_row) {
-        views[c].ToggleRow(cand.index);
-        tracker.OnRowToggled(views, c, cand.index);
-      } else {
-        views[c].ToggleCol(cand.index);
-        tracker.OnColToggled(views, c, cand.index);
+      if (!allowed ||
+          eval.ExactGain(is_row, cand.index, c) <= config_.min_improvement) {
+        continue;
       }
-      MaybeAudit(views[c], "RefineSweep");
-      scores[c] = ClusterScore(engine.Residue(views[c]),
-                               views[c].stats().Volume());
+      scores[c] = CommitToggle(cand, views, tracker, eval.engine(),
+                               config_.target_residue, audit, this);
       ++applied;
     }
   }
   FlocMetrics::Get().refine_toggles->Inc(applied);
-  FlocMetrics::Get().gain_pruned->Inc(pruned);
   return applied;
 }
 
@@ -360,8 +294,9 @@ bool Floc::ReanchorCluster(const DataMatrix& matrix,
       }
     }
   }
-  double cand_score =
-      ClusterScore(engine.Residue(cand_view), cand_view.stats().Volume());
+  double cand_score = ObjectiveScore(engine.Residue(cand_view),
+                                    cand_view.stats().Volume(),
+                                    config_.target_residue);
   if (cand_score >= *score - config_.min_improvement) return false;
   view.Reset(std::move(candidate));
   MaybeAudit(view, "ReanchorCluster");

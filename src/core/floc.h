@@ -339,13 +339,9 @@ class Floc {
 
  private:
   // The session layer drives the private phase helpers below
-  // (ClusterScore, MaybeAudit, RefineSweep, ReanchorCluster, EnsurePool)
+  // (MaybeAudit, RefineSweep, ReanchorCluster, EnsurePool)
   // and the perf-accounting members; see src/session/mining_session.h.
   friend class session::MiningSession;
-  // Per-cluster objective value: residue - target * ln(volume). With
-  // target_residue == 0 this is exactly the residue.
-  double ClusterScore(double residue, size_t volume) const;
-
   // Audit-mode hook: no-op unless config_.audit, in which case `ws`'s
   // incremental state (stats and any cached residue) is checked against a
   // from-scratch recompute (fatal on drift). `context` names the calling
@@ -354,7 +350,7 @@ class Floc {
 
   // One full refinement sweep over all clusters (see refine_passes).
   // Returns the number of toggles applied.
-  size_t RefineSweep(const DataMatrix& matrix, std::vector<ClusterWorkspace>& views,
+  size_t RefineSweep(std::vector<ClusterWorkspace>& views,
                      std::vector<double>& scores, ConstraintTracker& tracker);
 
   // Alternating reassignment of one cluster: holding the row set, re-pick

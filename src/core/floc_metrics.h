@@ -1,8 +1,9 @@
 // Registry handles for FLOC's metric family, resolved once per process.
 // Shared between the core phase helpers (src/core/floc.cc, whose
-// RefineSweep counts refine toggles and pruned candidates;
-// src/core/gain_determiner.cc, which counts pruned and skipped gain
-// evaluations) and the session driver
+// RefineSweep counts refine toggles; GainEvaluator in
+// src/core/floc_phases.h, which counts scanned and pruned gain
+// evaluations; src/core/gain_determiner.cc, which counts memo hits and
+// skipped re-decisions) and the session driver
 // (src/session/mining_session.cc, which records everything else): both
 // must increment the *same* registered instruments, and the registry
 // hands back a stable pointer per name, so the lookup table lives here
@@ -27,6 +28,8 @@ struct FlocMetrics {
   obs::Counter* clusters_skipped_clean;
   obs::Counter* gain_pruned;
   obs::Counter* gain_apply_skipped;
+  obs::Counter* gain_evals_served;
+  obs::Counter* gain_evals_recomputed;
   obs::Gauge* last_average_residue;
   obs::QuantileHistogram* iteration_latency;
 
@@ -43,6 +46,8 @@ struct FlocMetrics {
           r.GetCounter("floc.sweep.clusters_skipped_clean"),
           r.GetCounter("floc.gain.pruned"),
           r.GetCounter("floc.gain.apply_skipped"),
+          r.GetCounter("floc.gain_evals_served_from_cache"),
+          r.GetCounter("floc.gain_evals_recomputed"),
           r.GetGauge("floc.last.average_residue"),
           r.GetQuantileHistogram("floc.iteration.latency",
                                  obs::LatencySecondsOptions()),

@@ -29,11 +29,13 @@
 #include "src/core/constraints.h"
 #include "src/core/data_matrix.h"
 #include "src/core/floc.h"
+#include "src/core/floc_metrics.h"
 #include "src/core/gain_memo.h"
 #include "src/core/ordering.h"
 #include "src/core/residue.h"
 #include "src/engine/thread_pool.h"
 #include "src/obs/telemetry.h"
+#include "src/util/check.h"
 #include "src/util/rng.h"
 
 namespace deltaclus {
@@ -57,17 +59,17 @@ struct GainContext {
   const ConstraintTracker* tracker;
   double target_residue;
   // When non-null, blocked candidate toggles are tallied by constraint
-  // (telemetry collecting); null keeps the boolean constraint path.
+  // (telemetry collecting).
   obs::BlockCounts* blocked = nullptr;
   // When non-null, after-toggle residue evaluations are served from /
   // stored into this epoch-stamped per-(entity, cluster) memo (see
   // src/core/gain_memo.h). Blocked pairs bypass the memo entirely;
   // gains are always re-derived from `scores`, never cached.
   GainMemo* memo = nullptr;
-  // Audit mode: every memo hit is recomputed and DC_CHECKed bit-equal
-  // to the cached value; every scanned gain is DC_CHECKed against its
-  // bound, and every pruned candidate is rescanned to confirm it could
-  // not have won.
+  // Audit mode: every memo hit and cached bound is recomputed and
+  // DC_CHECKed bit-equal to the cached value; the GainEvaluator checks
+  // every scanned gain against its bound and rescans every pruned
+  // candidate to confirm it could not have won.
   bool audit = false;
   // The caller drops any action whose gain is <= 0 (greedy apply: no
   // negative actions, no annealing). Candidates whose gain bound is <= 0
@@ -76,33 +78,170 @@ struct GainContext {
   bool drop_nonpositive = false;
 };
 
-/// Per-caller scratch of BestActionFor: the residue engine's buffers and
-/// the list of candidates awaiting an exact scan. One per thread.
-struct GainScratch {
+/// The one bounded gain evaluator of determine, apply and refine
+/// (BestActionFor, RefineCandidates, Floc::RefineSweep's re-check): the
+/// only code that picks the row or column form of the after-toggle scan
+/// and of its bound, and that audits them (every scanned gain against its
+/// bound, every pruned candidate rescanned). Candidate (is_row, index, c)
+/// toggles row or column `index` in cluster c. Exact pane scans count in
+/// floc.gain_evals_recomputed and pruned candidates in floc.gain.pruned,
+/// flushed on destruction. Holds the residue engine's buffers, so one per
+/// thread; inline, as callers evaluate per candidate.
+class GainEvaluator {
+ public:
+  /// A candidate awaiting an exact scan in BestActionFor.
   struct Pending {
     double bound;  ///< upper bound on the candidate's gain
     size_t cluster;
     GainMemo::Entry* slot;  ///< memo slot to fill, or null
   };
 
-  explicit GainScratch(ResidueNorm norm) : engine(norm) {}
+  GainEvaluator(const GainContext& ctx, ResidueNorm norm)
+      : ctx_(ctx), engine_(norm) {}
+  GainEvaluator(const GainEvaluator&) = delete;
+  GainEvaluator& operator=(const GainEvaluator&) = delete;
+  ~GainEvaluator() {
+    if (scanned_ > 0) FlocMetrics::Get().gain_evals_recomputed->Inc(scanned_);
+    if (pruned_ > 0) FlocMetrics::Get().gain_pruned->Inc(pruned_);
+  }
 
-  ResidueEngine engine;
-  std::vector<Pending> pending;
+  const GainContext& ctx() const { return ctx_; }
+  ResidueEngine& engine() { return engine_; }
+  std::vector<Pending>& pending() { return pending_; }
+
+  /// scores[c] minus c's objective after the toggle, from the current
+  /// scores even for a memoized residue. The objective is monotone in the
+  /// residue, so a residue lower bound gives a gain upper bound.
+  double Gain(size_t c, double after_residue, size_t new_volume) const {
+    return (*ctx_.scores)[c] -
+           ObjectiveScore(after_residue, new_volume, ctx_.target_residue);
+  }
+
+  /// O(|J|) / O(|I|) lower bound on the after-toggle residue.
+  double ResidueBound(bool is_row, size_t index, size_t c,
+                      size_t* new_volume) {
+    const ClusterWorkspace& ws = (*ctx_.views)[c];
+    return is_row
+               ? engine_.ResidueLowerBoundAfterToggleRow(ws, index, new_volume)
+               : engine_.ResidueLowerBoundAfterToggleCol(ws, index, new_volume);
+  }
+
+  /// The exact gain from a counted pane scan; a non-null `slot` memoizes
+  /// the residue under the cluster's epoch.
+  double ExactGain(bool is_row, size_t index, size_t c,
+                   GainMemo::Entry* slot = nullptr) {
+    const ClusterWorkspace& ws = (*ctx_.views)[c];
+    size_t new_volume = 0;
+    double after_residue = After(ws, is_row, index, &new_volume);
+    ++scanned_;
+    if (slot != nullptr) *slot = {ws.epoch(), after_residue, new_volume};
+    return Gain(c, after_residue, new_volume);
+  }
+
+  /// Audit: a memo entry for this candidate must equal a recompute bit
+  /// for bit, be it an exact residue or (`is_bound`) a residue bound.
+  void CheckMemo(bool is_row, size_t index, size_t c,
+                 const GainMemo::Entry& entry, bool is_bound) {
+    size_t new_volume = 0;
+    double residue = is_bound ? ResidueBound(is_row, index, c, &new_volume)
+                              : AuditResidue(is_row, index, c, &new_volume);
+    DC_CHECK(residue == entry.after_residue && new_volume == entry.new_volume)
+        << "gain memo " << (is_bound ? "bound " : "") << "drift at ("
+        << (is_row ? "row " : "col ") << index << ", cluster " << c
+        << "): cached " << entry.after_residue << " / " << entry.new_volume
+        << " vs recomputed " << residue << " / " << new_volume;
+  }
+
+  /// ExactGain of a candidate whose gain bound is `bound`.
+  double BoundedGain(bool is_row, size_t index, size_t c, double bound,
+                     GainMemo::Entry* slot) {
+    double gain = ExactGain(is_row, index, c, slot);
+    if (ctx_.audit) CheckBound(is_row, index, c, gain, bound);
+    return gain;
+  }
+
+  /// Settles a candidate by its gain bound, without a scan. Audit
+  /// rescans it and requires `loses(gain)`: the exact gain would have
+  /// left the caller's decision as it is.
+  template <typename Loses>
+  void Prune(bool is_row, size_t index, size_t c, double bound,
+             const Loses& loses) {
+    ++pruned_;
+    if (ctx_.audit) AuditPruned(is_row, index, c, bound, loses);
+  }
+
+ private:
+  // The after-toggle residue on the ClusterView gather path: bit-identical
+  // to the pane scan, independent of the pane, and outside the scan
+  // counters, so audit cross-checks leave the measured counts alone.
+  double AuditResidue(bool is_row, size_t index, size_t c,
+                      size_t* new_volume) {
+    return After((*ctx_.views)[c].view(), is_row, index, new_volume);
+  }
+
+  // Prune's audit, out of line so that Prune stays small enough to inline.
+  template <typename Loses>
+  [[gnu::noinline]] void AuditPruned(bool is_row, size_t index, size_t c,
+                                     double bound, const Loses& loses) {
+    size_t new_volume = 0;
+    double after_residue = AuditResidue(is_row, index, c, &new_volume);
+    double gain = Gain(c, after_residue, new_volume);
+    CheckBound(is_row, index, c, gain, bound);
+    DC_CHECK(loses(gain)) << "pruned candidate would have won at ("
+                          << (is_row ? "row " : "col ") << index
+                          << ", cluster " << c << "): gain " << gain;
+  }
+
+  template <typename Members>  // ClusterWorkspace or ClusterView
+  double After(const Members& members, bool is_row, size_t index,
+               size_t* new_volume) {
+    return is_row ? engine_.ResidueAfterToggleRow(members, index, new_volume)
+                  : engine_.ResidueAfterToggleCol(members, index, new_volume);
+  }
+
+  static void CheckBound(bool is_row, size_t index, size_t c, double gain,
+                         double bound) {
+    DC_CHECK(gain <= bound)
+        << "gain bound violated at (" << (is_row ? "row " : "col ") << index
+        << ", cluster " << c << "): gain " << gain << " > bound " << bound;
+  }
+
+  GainContext ctx_;
+  ResidueEngine engine_;
+  std::vector<Pending> pending_;
+  uint64_t scanned_ = 0;
+  uint64_t pruned_ = 0;
 };
 
 /// The best of the k candidate actions for one row (is_row) or column:
 /// the membership toggle with the highest objective gain among those not
 /// blocked by constraints, ties going to the lowest cluster index. Memo
 /// hits are exact; every other candidate first gets an O(|J|) / O(|I|)
-/// gain upper bound (ResidueEngine::ResidueLowerBoundAfterToggle*), and
-/// only those whose bound could still beat the best exact gain found so
-/// far are scanned, highest bound first. The result is identical to
-/// scanning every candidate. Read-only over the clustering once every
-/// cluster's pane and bound stats are built, so concurrent calls (each
-/// with its own `scratch`) are safe.
-Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
-                     GainScratch& scratch);
+/// gain upper bound, and only those whose bound could still beat the
+/// best exact gain found so far are scanned, highest bound first. The
+/// result is identical to scanning every candidate. Read-only over the
+/// clustering once every cluster's pane and bound stats are built, so
+/// concurrent calls (each with its own evaluator) are safe.
+Action BestActionFor(bool is_row, size_t index, GainEvaluator& eval);
+
+/// Floc::RefineSweep's candidate scan of cluster c: the toggles of rows,
+/// then of columns, in index order, that the tracker allows and whose
+/// exact gain exceeds `min_improvement`. Only toggles whose gain bound
+/// clears `min_improvement` are scanned; the list is identical to
+/// scanning every allowed toggle. Replaces the contents of `out`.
+void RefineCandidates(size_t c, double min_improvement, GainEvaluator& eval,
+                      std::vector<Action>* out);
+
+/// Runs after a committed toggle on the mutated workspace (Floc's
+/// audit-mode hook); `self` is the object the hook serves.
+using ToggleHook = void (*)(void* self, const ClusterWorkspace& ws);
+
+/// The one toggle commit of the apply and refine sweeps: flips `action`
+/// in its cluster, tells the tracker, runs `hook` (when non-null) and
+/// returns the cluster's new objective score.
+double CommitToggle(const Action& action, std::vector<ClusterWorkspace>& views,
+                    ConstraintTracker& tracker, ResidueEngine& engine,
+                    double target_residue, ToggleHook hook, void* hook_self);
 
 /// Phase-2 step 1: determines the best action for every row and column
 /// against the current clustering, sharded over the thread pool.
@@ -228,8 +367,6 @@ class ActionApplier {
  public:
   /// `after_toggle` runs after every performed toggle with the mutated
   /// workspace (Floc's audit-mode hook); null disables.
-  using ToggleHook = void (*)(void* self, const ClusterWorkspace& ws);
-
   /// `memo` (optional, non-owning) is the gain memo shared with the
   /// determiner: the sweep's fresh re-decisions hit the entries the
   /// determination phase just wrote for every cluster not yet mutated

@@ -2,33 +2,11 @@
 
 #include "src/core/floc_metrics.h"
 #include "src/core/floc_phases.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/check.h"
 
 namespace deltaclus {
 
 namespace {
-
-// After-toggle evaluations answered by the epoch-stamped gain memo
-// instead of an O(volume) rescan. Together with
-// floc.gain_eval_entries_scanned this measures how much scanning the
-// memoization avoids.
-obs::Counter* GainMemoServedCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "floc.gain_evals_served_from_cache");
-  return counter;
-}
-
-// After-toggle evaluations that had to rescan (cold or stale memo slot,
-// or no memo configured, and a bound that could not settle them).
-// served / (served + recomputed) is the memo hit rate reported by
-// obs::PerfReport.
-obs::Counter* GainMemoRecomputedCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "floc.gain_evals_recomputed");
-  return counter;
-}
 
 // The strict-> loop over ascending cluster indices, restated for
 // candidates visited in any order: a higher gain wins, an equal gain
@@ -45,59 +23,26 @@ void Take(Action& best, double gain, size_t cluster) {
 
 }  // namespace
 
-Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
-                     GainScratch& scratch) {
+Action BestActionFor(bool is_row, size_t index, GainEvaluator& eval) {
   Action best;
   best.target = is_row ? ActionTarget::kRow : ActionTarget::kCol;
   best.index = index;
+  const GainContext& ctx = eval.ctx();
   const std::vector<ClusterWorkspace>& views = *ctx.views;
-  ResidueEngine& engine = scratch.engine;
-  std::vector<GainScratch::Pending>& pending = scratch.pending;
+  std::vector<GainEvaluator::Pending>& pending = eval.pending();
   pending.clear();
-  auto scan = [&](size_t c, size_t* new_volume) {
-    return is_row ? engine.ResidueAfterToggleRow(views[c], index, new_volume)
-                  : engine.ResidueAfterToggleCol(views[c], index, new_volume);
-  };
-  auto bound = [&](size_t c, size_t* new_volume) {
-    return is_row ? engine.ResidueLowerBoundAfterToggleRow(views[c], index,
-                                                           new_volume)
-                  : engine.ResidueLowerBoundAfterToggleCol(views[c], index,
-                                                           new_volume);
-  };
-  // Audit rescans take the ClusterView gather path: bit-identical to the
-  // pane scan by contract, independent of the pane, and outside the
-  // floc.gain_eval_entries_* counters, so audit mode leaves the measured
-  // scan counts as they are.
-  auto audit_scan = [&](size_t c, size_t* new_volume) {
-    const ClusterView& view = views[c].view();
-    return is_row ? engine.ResidueAfterToggleRow(view, index, new_volume)
-                  : engine.ResidueAfterToggleCol(view, index, new_volume);
-  };
-  auto gain_of = [&](size_t c, double after_residue, size_t new_volume) {
-    // The gain is re-derived from the *current* score vector even on
-    // memo hits: scores move whenever any cluster's residue moves, and
-    // the epoch only vouches for this cluster's membership.
-    return (*ctx.scores)[c] -
-           ObjectiveScore(after_residue, new_volume, ctx.target_residue);
-  };
 
   // Pass 1: constraints, memo hits (exact), and a gain bound per miss.
   for (size_t c = 0; c < views.size(); ++c) {
     // Constraint checks always run fresh: whether a toggle is blocked
     // depends on *other* clusters (overlap, coverage), which the target
     // cluster's epoch does not cover.
-    if (ctx.blocked != nullptr) {
-      BlockReason reason =
-          is_row ? ctx.tracker->RowToggleBlockReason(views, c, index)
-                 : ctx.tracker->ColToggleBlockReason(views, c, index);
-      if (reason != BlockReason::kNone) {
-        ctx.blocked->Add(reason);
-        continue;
-      }
-    } else {
-      bool allowed = is_row ? ctx.tracker->RowToggleAllowed(views, c, index)
-                            : ctx.tracker->ColToggleAllowed(views, c, index);
-      if (!allowed) continue;
+    BlockReason reason =
+        is_row ? ctx.tracker->RowToggleBlockReason(views, c, index)
+               : ctx.tracker->ColToggleBlockReason(views, c, index);
+    if (reason != BlockReason::kNone) {
+      if (ctx.blocked != nullptr) ctx.blocked->Add(reason);
+      continue;
     }
     GainMemo::Entry* slot =
         ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
@@ -107,18 +52,9 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
       // whole after-toggle scan) is unchanged since the entry was
       // stamped, so the stored residue/volume are bit-identical to what
       // a rescan would produce.
-      GainMemoServedCounter()->Inc();
-      if (ctx.audit) {
-        size_t check_volume = 0;
-        double check_residue = audit_scan(c, &check_volume);
-        DC_CHECK(check_residue == slot->after_residue &&
-                 check_volume == slot->new_volume)
-            << "gain memo drift at (" << (is_row ? "row " : "col ") << index
-            << ", cluster " << c << "): cached residue="
-            << slot->after_residue << " volume=" << slot->new_volume
-            << " vs recomputed " << check_residue << " / " << check_volume;
-      }
-      double gain = gain_of(c, slot->after_residue, slot->new_volume);
+      FlocMetrics::Get().gain_evals_served->Inc();
+      if (ctx.audit) eval.CheckMemo(is_row, index, c, *slot, false);
+      double gain = eval.Gain(c, slot->after_residue, slot->new_volume);
       if (Beats(gain, c, best)) Take(best, gain, c);
       continue;
     }
@@ -130,21 +66,12 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
     if (slot != nullptr && slot->epoch == bound_stamp) {
       lower = slot->after_residue;
       new_volume = slot->new_volume;
-      if (ctx.audit) {
-        size_t check_volume = 0;
-        double check = bound(c, &check_volume);
-        DC_CHECK(check == lower && check_volume == new_volume)
-            << "gain memo bound drift at (" << (is_row ? "row " : "col ")
-            << index << ", cluster " << c << "): cached " << lower
-            << " vs recomputed " << check;
-      }
+      if (ctx.audit) eval.CheckMemo(is_row, index, c, *slot, true);
     } else {
-      lower = bound(c, &new_volume);
+      lower = eval.ResidueBound(is_row, index, c, &new_volume);
       if (slot != nullptr) *slot = {bound_stamp, lower, new_volume};
     }
-    // ObjectiveScore is monotone in the residue, so a residue lower
-    // bound is a gain upper bound.
-    pending.push_back({gain_of(c, lower, new_volume), c, slot});
+    pending.push_back({eval.Gain(c, lower, new_volume), c, slot});
   }
 
   // Pass 2: scan the pending candidates highest bound first (ties to
@@ -152,15 +79,9 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
   // order "cannot win" is monotone: once the top candidate cannot beat
   // the best exact gain, no remaining one can. Usually one or two scans
   // settle it, so the top is found by selection rather than a sort.
-  auto could_win = [&](const GainScratch::Pending& p) {
+  auto could_win = [&](const GainEvaluator::Pending& p) {
     if (ctx.drop_nonpositive && p.bound <= 0.0) return false;
     return Beats(p.bound, p.cluster, best);
-  };
-  auto check_bound = [&](const GainScratch::Pending& p, double gain) {
-    DC_CHECK(gain <= p.bound)
-        << "gain bound violated at (" << (is_row ? "row " : "col ") << index
-        << ", cluster " << p.cluster << "): gain " << gain << " > bound "
-        << p.bound;
   };
   size_t scanned = 0;
   while (scanned < pending.size()) {
@@ -174,44 +95,55 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
     }
     if (!could_win(pending[top])) break;
     std::swap(pending[scanned], pending[top]);
-    const GainScratch::Pending& p = pending[scanned++];
-    size_t new_volume = 0;
-    double after_residue = scan(p.cluster, &new_volume);
-    GainMemoRecomputedCounter()->Inc();
-    if (p.slot != nullptr) {
-      *p.slot = {views[p.cluster].epoch(), after_residue, new_volume};
-    }
-    double gain = gain_of(p.cluster, after_residue, new_volume);
-    if (ctx.audit) check_bound(p, gain);
+    const GainEvaluator::Pending& p = pending[scanned++];
+    double gain = eval.BoundedGain(is_row, index, p.cluster, p.bound, p.slot);
     if (Beats(gain, p.cluster, best)) Take(best, gain, p.cluster);
   }
-  // floc.gain.pruned: memo misses settled by their bound (pruned /
-  // (pruned + recomputed) is the PerfReport prune rate).
+  // The rest are settled by their bounds: none can change the decision,
+  // except into one the caller drops anyway.
+  for (size_t t = scanned; t < pending.size(); ++t) {
+    const GainEvaluator::Pending& p = pending[t];
+    eval.Prune(is_row, index, p.cluster, p.bound, [&](double gain) {
+      bool dropped_anyway = ctx.drop_nonpositive && gain <= 0.0 &&
+                            (best.blocked() || best.gain <= 0.0);
+      return !Beats(gain, p.cluster, best) || dropped_anyway;
+    });
+  }
   // floc.gain.apply_skipped: re-decisions dropped without any scan.
-  size_t pruned = pending.size() - scanned;
-  if (pruned > 0) FlocMetrics::Get().gain_pruned->Inc(pruned);
   if (ctx.drop_nonpositive && scanned == 0 && !pending.empty() &&
       (best.blocked() || best.gain <= 0.0)) {
     FlocMetrics::Get().gain_apply_skipped->Inc();
   }
-  if (ctx.audit) {
-    // Every pruned candidate, rescanned (without touching the memo):
-    // within its bound, and unable to change the decision.
-    for (size_t t = scanned; t < pending.size(); ++t) {
-      const GainScratch::Pending& p = pending[t];
-      size_t new_volume = 0;
-      double gain = gain_of(p.cluster, audit_scan(p.cluster, &new_volume),
-                            new_volume);
-      check_bound(p, gain);
-      bool dropped_anyway = ctx.drop_nonpositive && gain <= 0.0 &&
-                            (best.blocked() || best.gain <= 0.0);
-      DC_CHECK(!Beats(gain, p.cluster, best) || dropped_anyway)
-          << "pruned candidate would have won at ("
-          << (is_row ? "row " : "col ") << index << ", cluster "
-          << p.cluster << "): gain " << gain << " vs best " << best.gain;
+  return best;
+}
+
+void RefineCandidates(size_t c, double min_improvement, GainEvaluator& eval,
+                      std::vector<Action>* out) {
+  const GainContext& ctx = eval.ctx();
+  const std::vector<ClusterWorkspace>& views = *ctx.views;
+  out->clear();
+  size_t rows = views[c].matrix().rows();
+  size_t total = rows + views[c].matrix().cols();
+  for (size_t t = 0; t < total; ++t) {
+    bool is_row = t < rows;
+    size_t index = is_row ? t : t - rows;
+    bool allowed = is_row ? ctx.tracker->RowToggleAllowed(views, c, index)
+                          : ctx.tracker->ColToggleAllowed(views, c, index);
+    if (!allowed) continue;
+    size_t new_volume = 0;
+    double lower = eval.ResidueBound(is_row, index, c, &new_volume);
+    double bound = eval.Gain(c, lower, new_volume);
+    if (bound <= min_improvement) {
+      eval.Prune(is_row, index, c, bound,
+                 [&](double gain) { return gain <= min_improvement; });
+      continue;
+    }
+    double gain = eval.BoundedGain(is_row, index, c, bound, nullptr);
+    if (gain > min_improvement) {
+      out->push_back(
+          {is_row ? ActionTarget::kRow : ActionTarget::kCol, index, c, gain});
     }
   }
-  return best;
 }
 
 std::vector<Action> GainDeterminer::Determine(
@@ -241,17 +173,18 @@ std::vector<Action> GainDeterminer::Determine(
   engine::ParallelApply(
       pool_, total,
       [&](size_t begin, size_t end, size_t shard) {
-        GainContext ctx{&views, &scores, &tracker, target_residue_,
-                        blocked != nullptr ? &shard_counts[shard] : nullptr,
-                        memo_, audit_};
-        // Per-shard scratch: the engine's buffers and the pending list
+        // Per-shard evaluator: the engine's buffers and the pending list
         // must not be shared across threads, and construction is trivial
         // next to the scan.
-        GainScratch scratch(norm_);
+        GainEvaluator eval(
+            {&views, &scores, &tracker, target_residue_,
+             blocked != nullptr ? &shard_counts[shard] : nullptr, memo_,
+             audit_},
+            norm_);
         for (size_t t = begin; t < end; ++t) {
           bool is_row = t < num_rows;
           size_t index = is_row ? t : t - num_rows;
-          actions[t] = BestActionFor(is_row, index, ctx, scratch);
+          actions[t] = BestActionFor(is_row, index, eval);
         }
       },
       serial_cutoff_, stop);

@@ -20,7 +20,7 @@
 // advance on every mutation, so epoch equality guarantees the
 // membership -- and the incremental stats bits the scan reads -- are
 // unchanged, which makes a cache hit *bit-identical* to the recompute
-// (audit mode verifies this, see BestActionFor in gain_determiner.cc).
+// (audit mode verifies this, see GainEvaluator::CheckMemo).
 //
 // Only the pure function (membership -> after-toggle residue/volume) is
 // cached. Gains are always re-derived from the caller's current score

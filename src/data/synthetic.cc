@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace deltaclus {
 
@@ -25,7 +27,38 @@ void PlantShiftCluster(DataMatrix* matrix, const Cluster& members,
   }
 }
 
+std::vector<std::string> SyntheticConfig::Validate() const {
+  std::vector<std::string> problems;
+  // As in FlocConfig::Validate, every test below is false for NaN.
+  for (auto [name, v] : {std::pair{"volume_mean", volume_mean},
+                         std::pair{"volume_variance", volume_variance},
+                         std::pair{"offset_range", offset_range},
+                         std::pair{"noise_stddev", noise_stddev}}) {
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      problems.push_back(std::string(name) + " must be finite and >= 0");
+    }
+  }
+  for (auto [name, v] : {std::pair{"col_fraction", col_fraction},
+                         std::pair{"missing_fraction", missing_fraction}}) {
+    if (!(v >= 0.0 && v <= 1.0)) {
+      problems.push_back(std::string(name) + " must be in [0, 1]");
+    }
+  }
+  if (!(std::isfinite(background_lo) && std::isfinite(background_hi) &&
+        background_lo <= background_hi)) {
+    problems.push_back(
+        "background_lo and background_hi must be finite with lo <= hi");
+  }
+  return problems;
+}
+
 SyntheticDataset GenerateSynthetic(const SyntheticConfig& config) {
+  std::vector<std::string> problems = config.Validate();
+  if (!problems.empty()) {
+    std::string message = "invalid SyntheticConfig:";
+    for (const std::string& p : problems) message += "\n  - " + p;
+    throw std::invalid_argument(message);
+  }
   Rng rng(config.seed);
   SyntheticDataset out;
   out.matrix = DataMatrix(config.rows, config.cols);

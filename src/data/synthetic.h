@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -69,6 +70,11 @@ struct SyntheticConfig {
 
   /// RNG seed.
   uint64_t seed = 1;
+
+  /// Returns a human-readable description of every inconsistency in this
+  /// configuration (empty = valid). GenerateSynthetic throws
+  /// std::invalid_argument listing them.
+  std::vector<std::string> Validate() const;
 };
 
 /// A generated matrix plus its planted ground truth.
@@ -80,6 +86,7 @@ struct SyntheticDataset {
 };
 
 /// Generates a matrix with embedded shift-coherent clusters per `config`.
+/// Throws std::invalid_argument when config.Validate() finds a problem.
 SyntheticDataset GenerateSynthetic(const SyntheticConfig& config);
 
 /// Plants one shift-coherent cluster into `matrix` over the given members:

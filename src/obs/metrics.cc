@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -177,7 +178,11 @@ void MetricsRegistry::WriteExposition(std::ostream& out) const {
     out << "# TYPE " << n << " summary\n";
     constexpr double kQuantiles[] = {0.5, 0.9, 0.99, 0.999};
     for (double q : kQuantiles) {
-      out << n << "{quantile=\"" << PromNumber(q) << "\"} "
+      // Labels key the series: the shortest decimal that reads back as q
+      // ("0.9", not "0.90000000000000002", which no scraper matches).
+      char label[32];
+      *std::to_chars(label, label + sizeof(label) - 1, q).ptr = '\0';
+      out << n << "{quantile=\"" << label << "\"} "
           << PromNumber(snap.ValueAtQuantile(q)) << "\n";
     }
     out << n << "_sum " << PromNumber(snap.sum) << "\n"

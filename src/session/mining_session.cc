@@ -257,8 +257,9 @@ MiningSession::~MiningSession() = default;
 double MiningSession::RecomputeScores() {
   double sum = 0.0;
   for (size_t c = 0; c < k_; ++c) {
-    scores_[c] = floc_->ClusterScore(engine_.Residue(views_[c]),
-                                     views_[c].stats().Volume());
+    scores_[c] = ObjectiveScore(engine_.Residue(views_[c]),
+                                views_[c].stats().Volume(),
+                                config_.target_residue);
     sum += scores_[c];
   }
   return sum;
@@ -549,7 +550,7 @@ void MiningSession::StepRefine() {
         }
         tracker_.Rebuild(views_);
       }
-      changes += floc_->RefineSweep(matrix_, views_, scores_, tracker_);
+      changes += floc_->RefineSweep(views_, scores_, tracker_);
       if (changes == 0) break;
     }
     score_sum_ = RecomputeScores();

@@ -271,6 +271,39 @@ TEST(CliTest, NonFiniteKnobsRejected) {
   }
 }
 
+TEST(CliTest, GenerateRejectsNonFiniteNoise) {
+  // A NaN noise used to fail `noise_stddev > 0` and plant noiseless
+  // clusters, writing the same file as --noise 0.
+  CliRun r = RunCliArgs({"generate", "--rows=20", "--cols=5", "--clusters=1",
+                         "--noise=nan", "--out", Tmp("nan_noise.csv")});
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.err.find("noise_stddev must be finite"), std::string::npos)
+      << r.err;
+}
+
+TEST(CliTest, GenerateRejectsNonFiniteMissing) {
+  CliRun r = RunCliArgs({"generate", "--rows=20", "--cols=5", "--clusters=1",
+                         "--missing=nan", "--out", Tmp("nan_missing.csv")});
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.err.find("missing_fraction must be in [0, 1]"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(CliTest, MineRejectsNonFiniteDedupe) {
+  // `dedupe < 1.0` is false for NaN: deduplication used to be skipped
+  // without a word.
+  std::string matrix_path = Tmp("nan_dedupe.csv");
+  ASSERT_EQ(RunCliArgs({"generate", "--rows=40", "--cols=10", "--clusters=1",
+                        "--seed=3", "--out", matrix_path})
+                .exit_code,
+            0);
+  CliRun r = RunCliArgs({"mine", "--input", matrix_path, "--k=3",
+                         "--dedupe=nan", "--out", Tmp("nan_dedupe_out.txt")});
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.err.find("dedupe must be finite"), std::string::npos) << r.err;
+}
+
 TEST(CliTest, MemoBudgetFlagRemoved) {
   // The gain memo has no byte budget any more; a script that still
   // passes the old flag fails loudly instead of mining without it.

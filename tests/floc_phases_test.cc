@@ -36,7 +36,8 @@ namespace {
 // shaped like the middle of a FLOC run.
 struct Fixture {
   explicit Fixture(size_t rows, size_t cols, uint64_t seed,
-                   ResidueNorm norm = ResidueNorm::kMeanAbsolute)
+                   ResidueNorm norm = ResidueNorm::kMeanAbsolute,
+                   double missing = 0.0)
       : norm(norm) {
     SyntheticConfig config;
     config.rows = rows;
@@ -45,6 +46,7 @@ struct Fixture {
     config.volume_mean = rows;
     config.col_fraction = 0.3;
     config.noise_stddev = 0.5;
+    config.missing_fraction = missing;
     config.seed = seed;
     data = GenerateSynthetic(config);
 
@@ -213,15 +215,15 @@ Action ExhaustiveBestAction(bool is_row, size_t index, const Fixture& fx) {
 // reproduced; otherwise the pruned decision must be one the caller drops.
 void ExpectPrunedMatchesExhaustive(const Fixture& fx, GainMemo* memo,
                                    bool drop_nonpositive = false) {
-  GainScratch scratch(fx.norm);
-  GainContext ctx = fx.Context(memo, /*audit=*/false, drop_nonpositive);
+  GainEvaluator eval(fx.Context(memo, /*audit=*/false, drop_nonpositive),
+                     fx.norm);
   size_t rows = fx.data.matrix.rows();
   size_t total = rows + fx.data.matrix.cols();
   for (size_t t = 0; t < total; ++t) {
     bool is_row = t < rows;
     size_t index = is_row ? t : t - rows;
     Action want = ExhaustiveBestAction(is_row, index, fx);
-    Action got = BestActionFor(is_row, index, ctx, scratch);
+    Action got = BestActionFor(is_row, index, eval);
     if (drop_nonpositive && (want.blocked() || want.gain <= 0.0)) {
       EXPECT_TRUE(got.blocked() || got.gain <= 0.0) << "entity " << t;
       continue;
@@ -308,14 +310,13 @@ TEST(BestActionForTest, AuditModeAgreesAndLeavesScanCountsAlone) {
   auto sweep = [&](bool audit, std::vector<Action>* out) {
     GainMemo memo;
     memo.Configure(rows, fx.data.matrix.cols(), fx.views.size());
-    GainScratch scratch(fx.norm);
-    GainContext ctx = fx.Context(&memo, audit);
+    GainEvaluator eval(fx.Context(&memo, audit), fx.norm);
     uint64_t before = scanned->Value();
     for (int pass = 0; pass < 2; ++pass) {
       for (size_t t = 0; t < total; ++t) {
         bool is_row = t < rows;
         out->push_back(
-            BestActionFor(is_row, is_row ? t : t - rows, ctx, scratch));
+            BestActionFor(is_row, is_row ? t : t - rows, eval));
       }
     }
     return scanned->Value() - before;
@@ -335,23 +336,110 @@ TEST(BestActionForDeathTest, AuditCatchesACorruptedCachedBound) {
   GainMemo memo;
   memo.Configure(fx.data.matrix.rows(), fx.data.matrix.cols(),
                  fx.views.size());
-  GainScratch scratch(fx.norm);
-  GainContext ctx = fx.Context(&memo);
+  GainEvaluator eval(fx.Context(&memo), fx.norm);
   // Find a row whose decision left a cached bound behind, and raise that
   // bound past the truth: without audit the corrupted entry is trusted.
   for (size_t i = 0; i < fx.data.matrix.rows(); ++i) {
-    BestActionFor(true, i, ctx, scratch);
+    BestActionFor(true, i, eval);
     for (size_t c = 0; c < fx.views.size(); ++c) {
       GainMemo::Entry* slot = memo.Slot(true, i, c);
       if (slot->epoch != (fx.views[c].epoch() | GainMemo::kBoundTag)) continue;
       slot->after_residue += 1.0;
-      GainContext audited = fx.Context(&memo, /*audit=*/true);
-      EXPECT_DEATH(BestActionFor(true, i, audited, scratch),
+      GainEvaluator audited(fx.Context(&memo, /*audit=*/true), fx.norm);
+      EXPECT_DEATH(BestActionFor(true, i, audited),
                    "gain memo bound drift");
       return;
     }
   }
   FAIL() << "no decision was settled by a bound";
+}
+
+// Floc::RefineSweep's candidate scan before bound-and-prune: every
+// allowed toggle scanned, kept when its gain clears the threshold.
+std::vector<Action> ExhaustiveRefineCandidates(size_t c,
+                                               double min_improvement,
+                                               const Fixture& fx) {
+  std::vector<Action> out;
+  ResidueEngine engine(fx.norm);
+  auto consider = [&](bool is_row, size_t index) {
+    size_t volume = 0;
+    double residue =
+        is_row ? engine.ResidueAfterToggleRow(fx.views[c], index, &volume)
+               : engine.ResidueAfterToggleCol(fx.views[c], index, &volume);
+    double gain =
+        fx.scores[c] - ObjectiveScore(residue, volume, Fixture::kTarget);
+    if (gain > min_improvement) {
+      out.push_back(
+          {is_row ? ActionTarget::kRow : ActionTarget::kCol, index, c, gain});
+    }
+  };
+  for (size_t i = 0; i < fx.data.matrix.rows(); ++i) {
+    if (fx.tracker->RowToggleAllowed(fx.views, c, i)) consider(true, i);
+  }
+  for (size_t j = 0; j < fx.data.matrix.cols(); ++j) {
+    if (fx.tracker->ColToggleAllowed(fx.views, c, j)) consider(false, j);
+  }
+  return out;
+}
+
+TEST(RefineCandidatesTest, PrunedMatchesExhaustive) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  bool was_enabled = obs::MetricsRegistry::Enabled();
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::Counter* pruned = registry.GetCounter("floc.gain.pruned");
+  for (ResidueNorm norm :
+       {ResidueNorm::kMeanAbsolute, ResidueNorm::kMeanSquared}) {
+    for (double missing : {0.0, 0.3}) {
+      for (bool audit : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "norm " << static_cast<int>(norm) << " missing "
+                     << missing << " audit " << audit);
+        Fixture fx(90, 24, 79, norm, missing);
+        fx.RelaxConstraints();
+        std::vector<Action> got;
+        size_t found = 0;
+        uint64_t pruned_before = pruned->Value();
+        {
+          GainEvaluator eval(fx.Context(nullptr, audit), fx.norm);
+          // Two rounds: the second runs on clusters that the first
+          // round's best toggles moved, so their bound stats are rebuilt.
+          for (int round = 0; round < 2; ++round) {
+            for (double min_improvement : {1e-9, 0.05}) {
+              for (size_t c = 0; c < fx.views.size(); ++c) {
+                std::vector<Action> want =
+                    ExhaustiveRefineCandidates(c, min_improvement, fx);
+                RefineCandidates(c, min_improvement, eval, &got);
+                ASSERT_EQ(got.size(), want.size()) << "cluster " << c;
+                for (size_t t = 0; t < got.size(); ++t) {
+                  EXPECT_EQ(got[t].target, want[t].target) << t;
+                  EXPECT_EQ(got[t].index, want[t].index) << t;
+                  EXPECT_EQ(got[t].cluster, c) << t;
+                  EXPECT_EQ(got[t].gain, want[t].gain) << t;  // bit-identical
+                }
+                found += got.size();
+              }
+            }
+            for (size_t c = 0; c < fx.views.size(); ++c) {
+              RefineCandidates(c, 1e-9, eval, &got);
+              if (got.empty()) continue;
+              const Action& best = *std::max_element(
+                  got.begin(), got.end(),
+                  [](const Action& a, const Action& b) {
+                    return a.gain < b.gain;
+                  });
+              fx.scores[c] =
+                  CommitToggle(best, fx.views, *fx.tracker, eval.engine(),
+                               Fixture::kTarget, nullptr, nullptr);
+            }
+          }
+        }  // the evaluator flushes its counts here
+        // Both outcomes occur: candidates kept and candidates pruned.
+        EXPECT_GT(found, 0u);
+        EXPECT_GT(pruned->Value(), pruned_before);
+      }
+    }
+  }
+  obs::MetricsRegistry::SetEnabled(was_enabled);
 }
 
 // A test-local ActionApplier::Apply with the exhaustive decision rule:

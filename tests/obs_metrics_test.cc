@@ -229,9 +229,14 @@ TEST_F(MetricsTest, QuantileHistogramsExportAsSummaries) {
   registry.WriteExposition(out);
   std::string text = out.str();
   EXPECT_NE(text.find("# TYPE iter_latency summary"), std::string::npos);
-  EXPECT_NE(text.find("iter_latency{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_NE(text.find("iter_latency{quantile=\"0.999\"}"),
-            std::string::npos);
+  // Labels are the shortest round-trip decimals, the series keys a
+  // scraper expects ("0.9", not "0.90000000000000002").
+  for (const char* label : {"0.5", "0.9", "0.99", "0.999"}) {
+    EXPECT_NE(text.find("iter_latency{quantile=\"" + std::string(label) +
+                        "\"} "),
+              std::string::npos)
+        << label << " in\n" << text;
+  }
   EXPECT_NE(text.find("iter_latency_count 100"), std::string::npos);
   // The JSON snapshot gains a quantile_histograms section only when one
   // is registered (pre-existing consumers see unchanged output).

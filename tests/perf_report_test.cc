@@ -87,6 +87,20 @@ TEST_F(PerfReportTest, FlocRunAssemblesReportWhenMetricsOn) {
   EXPECT_GE(perf.iteration_latency.p99, perf.iteration_latency.p50);
 }
 
+TEST_F(PerfReportTest, RefineScansCountAsRecomputedEvaluations) {
+  // Every counted exact scan is a recomputed evaluation, whichever loop
+  // asked for it, so the prune rate and the memo hit rate cover one set
+  // of evaluations: refinement adds to both of the prune rate's counts.
+  MetricsRegistry::SetEnabled(true);
+  DataMatrix matrix = SmallMatrix();
+  FlocConfig config = BaseConfig();
+  PerfReport without = Floc(config).Run(matrix).perf;
+  config.refine_passes = 2;
+  PerfReport with = Floc(config).Run(matrix).perf;
+  EXPECT_GT(with.gain_evals_recomputed, without.gain_evals_recomputed);
+  EXPECT_GT(with.gain_evals_pruned, without.gain_evals_pruned);
+}
+
 TEST_F(PerfReportTest, ReportIsInvalidatedWhenMetricsOff) {
   DataMatrix matrix = SmallMatrix();
   FlocResult result = Floc(BaseConfig()).Run(matrix);
